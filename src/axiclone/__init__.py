@@ -3,8 +3,9 @@
 The ensemble of input states is any distribution on the Bloch sphere that is
 symmetric about a fixed axis; its first two Legendre moments determine the
 best symmetric cloner, which this package computes in closed form, simulates
-exactly on three qubits, certifies against random and structured CPTP maps,
-and compiles to a small quantum circuit.
+exactly on three qubits, certifies against every CPTP map with an exact
+semidefinite dual bound and against Haar-random maps, and compiles to a small
+quantum circuit.
 """
 
 from .dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
@@ -22,7 +23,7 @@ from .optimal import (ClonerParams, Regime, average_fidelity,
 from .qsim import (AxisFrame, PureQubit, apply_clone, clone_fidelity_sim,
                    clone_isometry, partial_trace, rotate_frame)
 from .choi import (build_merit, choi_fidelity, choi_from_params,
-                   constrained_maximize, max_sampled_fidelity,
+                   dual_certificate, max_sampled_fidelity,
                    optimality_report, random_cptp, symmetry_blocks)
 from .circuit import (Circuit, Gate, build_circuit, circuit_unitary,
                       gate_matrix)

@@ -28,6 +28,10 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_OPTIMALITY = 3
 
+# Largest excess of a sampled map over F_opt, and largest distance of the
+# dual bound F_upper from F_opt, that verify accepts.
+_CERTIFICATE_TOL = 1e-9
+
 _DIST_KEYS = {
     "uniform": (),
     "vmf": ("kappa",),
@@ -255,11 +259,16 @@ def cmd_verify(args) -> int:
     _check_format(args, "json")
     if args.samples < 1:
         raise ParseError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ParseError("--seed must be >= 0")
     d = parse_dist(args.dist)
     numbers = choi_mod.optimality_report(d, args.samples, seed=args.seed)
     report = {"distribution": dist_mod.spec_string(d), **numbers}
     _emit(render_json(report), args.out)
-    if report["max_sampled_F"] > report["F_opt"] + 1e-9:
+    f_opt = report["F_opt"]
+    # written as "not <=" so that a NaN anywhere fails the certificate
+    if not (abs(report["F_upper"] - f_opt) <= _CERTIFICATE_TOL
+            and report["max_sampled_F"] <= f_opt + _CERTIFICATE_TOL):
         return EXIT_OPTIMALITY
     return EXIT_OK
 

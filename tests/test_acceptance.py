@@ -14,11 +14,12 @@ from axiclone import (Brosseau, Circuit, ClonerParams, Delta, DeltaPair,
                       PureQubit, Regime, Uniform, VonMisesFisher,
                       average_fidelity, build_circuit, build_merit,
                       choi_fidelity, choi_from_params, circuit_unitary,
-                      clone_fidelity_sim, clone_isometry,
-                      constrained_maximize, gamma, max_sampled_fidelity,
-                      moments, optimal_angles, pcc_params,
-                      quadrature_moments, single_copy_fidelity)
+                      clone_fidelity_sim, clone_isometry, dual_certificate,
+                      gamma, max_sampled_fidelity, moments, optimal_angles,
+                      pcc_params, quadrature_moments, single_copy_fidelity)
 from axiclone.dist import integrate_marginal
+
+from oracles import constrained_maximize
 
 SQRT2 = math.sqrt(2.0)
 
@@ -151,7 +152,8 @@ def test_criterion_06_polarization_sweep_shape():
         assert f <= f_limit + 1e-12
 
 
-@criterion(7, "no sampled or structured CPTP map beats the analytic optimum")
+@criterion(7, "the SDP dual bound closes on the analytic optimum; no sampled "
+              "or structured CPTP map beats it")
 def test_criterion_07_optimality_certification():
     references = [
         Uniform(),
@@ -165,6 +167,9 @@ def test_criterion_07_optimality_certification():
         p_opt = optimal_angles(m)
         f_opt = average_fidelity(m, p_opt)
         merit = build_merit(dist)
+        tr_y, lambda_min = dual_certificate(merit, p_opt)
+        assert abs(tr_y - f_opt) <= 1e-9
+        assert lambda_min >= -1e-9
         sampled = max_sampled_fidelity(merit, 10_000, seed=0, env_dims=(1, 2, 4))
         assert sampled <= f_opt + 1e-9
         structured, chi = constrained_maximize(merit)

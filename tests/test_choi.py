@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axiclone import (Brosseau, ClonerParams, Delta, DeltaPair, MomentPair,
                       NonHermitianError, Uniform, VonMisesFisher,
                       average_fidelity, build_merit, choi_fidelity,
-                      choi_from_params, constrained_maximize,
+                      choi_from_params, dual_certificate,
                       max_sampled_fidelity, moments, optimal_angles,
                       pcc_params, random_cptp, symmetry_blocks, uc_params)
-from axiclone.choi import partial_trace_input, trace_out_clones
+from axiclone import choi
+from axiclone.choi import (choi_from_isometry, partial_trace_input,
+                           trace_out_clones)
 
 from conftest import random_distribution
+from oracles import (constrained_maximize, haar_isometry,
+                     merit_kernel_reference, sampled_fidelity_loop)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,6 +52,16 @@ class TestMeritOperator:
             eig = np.linalg.eigvalsh(r)
             assert eig.min() >= -1e-10
             assert eig.max() <= 1 + 1e-10
+
+    def test_kernel_matches_reference_bit_for_bit(self, rng):
+        # blocked nodes and the slice-built rho (x) 1 + 1 (x) rho must leave
+        # every bit of the kernel, signed zeros included, as the one-block
+        # einsum form has it, so R and verify's output stay the same
+        for x in [rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 37),
+                  np.array([-1.0, 0.0, 1.0])]:
+            got = choi._merit_kernel(x)
+            assert np.array_equal(got.view(np.uint64),
+                                  merit_kernel_reference(x).view(np.uint64))
 
     def test_pairing_equals_moment_formula(self, rng):
         dist = VonMisesFisher(kappa=0.7)
@@ -129,6 +144,35 @@ class TestRandomCptp:
         assert best <= 5 / 6 + 1e-9
 
 
+class TestMaxSampledFidelity:
+    def test_reference_loop_draws_random_cptp_samples(self):
+        for seed in (0, 1, 41, 10 ** 6):
+            for env in (1, 2, 3, 4):
+                chi = choi_from_isometry(haar_isometry(seed, env))
+                assert np.array_equal(chi, random_cptp(seed, env_dim=env))
+
+    def test_batched_sweep_equals_per_sample_loop(self):
+        for dist in (VonMisesFisher(kappa=1.0), DeltaPair(theta=math.pi / 3)):
+            r = build_merit(dist)
+            batched = max_sampled_fidelity(r, 200, seed=17, env_dims=(1, 2, 4))
+            assert batched == sampled_fidelity_loop(r, 200, seed=17,
+                                                    env_dims=(1, 2, 4))
+
+    def test_result_independent_of_chunking(self, monkeypatch):
+        r = build_merit(Brosseau(P=0.8, mu=0.5))
+        expected = sampled_fidelity_loop(r, 200, seed=3, env_dims=(3, 1))
+        monkeypatch.setattr(choi, "_HAAR_CHUNK", 64)
+        assert max_sampled_fidelity(r, 200, seed=3, env_dims=(3, 1)) == expected
+
+    def test_per_sample_values_match_choi_fidelity(self):
+        r = build_merit(VonMisesFisher(kappa=-2.0))
+        for k in range(20):
+            expected = max(choi_fidelity(random_cptp(k, env_dim=env), r)
+                           for env in (1, 2, 4))
+            assert max_sampled_fidelity(r, 1, seed=k) == pytest.approx(
+                expected, abs=1e-14)
+
+
 class TestSymmetryBlocks:
     def test_cloner_choi_block_pattern(self, rng):
         p = random_params(rng)
@@ -200,3 +244,73 @@ class TestConstrainedMaximize:
         assert f == pytest.approx(f_opt, abs=1e-7)
         assert f <= f_opt + 1e-7
         assert_cptp(chi)
+
+
+def assert_certificate(dist):
+    """The dual bound of the closed-form cloner closes on F_opt."""
+    m = moments(dist)
+    p = optimal_angles(m)
+    f_opt = average_fidelity(m, p)
+    r = build_merit(dist)
+    tr_y, lam = dual_certificate(r, p)
+    f_upper = tr_y - 2 * min(lam, 0.0)
+    assert abs(tr_y - f_opt) <= 1e-9
+    assert lam >= -1e-9
+    assert abs(f_upper - f_opt) <= 1e-9
+    return r, f_upper
+
+
+class TestDualCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.integers(0, 2 ** 32 - 1).map(
+            lambda s: random_distribution(np.random.default_rng(s))),
+        st.sampled_from([kind(theta=t) for kind in (Delta, DeltaPair)
+                         for t in (0.0, math.pi / 2, math.pi)])))
+    def test_certificate_holds(self, dist):
+        r, f_upper = assert_certificate(dist)
+        for seed in range(3):
+            assert choi_fidelity(random_cptp(seed, env_dim=4), r) <= f_upper + 1e-12
+
+    def test_bound_is_sound_for_suboptimal_cloners(self, rng):
+        # any dual point bounds the optimum, so the bound built from a
+        # non-optimal cloner can only overshoot F_opt
+        for _ in range(20):
+            dist = random_distribution(rng)
+            m = moments(dist)
+            f_opt = average_fidelity(m, optimal_angles(m))
+            r = build_merit(dist)
+            tr_y, lam = dual_certificate(r, random_params(rng))
+            assert tr_y - 2 * min(lam, 0.0) >= f_opt - 1e-12
+
+    def test_perturbed_merit_fails(self):
+        for dist in (Uniform(), VonMisesFisher(kappa=1.0),
+                     DeltaPair(theta=math.pi / 3)):
+            m = moments(dist)
+            p = optimal_angles(m)
+            r = build_merit(dist).astype(complex)
+            r[0, 0] += 1e-6      # |000>, inside the first symmetric block
+            tr_y, lam = dual_certificate(r, p)
+            f_upper = tr_y - 2 * min(lam, 0.0)
+            assert abs(f_upper - average_fidelity(m, p)) > 1e-9
+
+    def test_gain_outside_cloner_support_shows_in_lambda_min(self):
+        # raising R on |1>|S->, where the cloner's Choi matrix has no
+        # weight, leaves Tr Y alone; only lambda_min can reveal that a
+        # channel using that direction now beats the cloner
+        dist = VonMisesFisher(kappa=0.2)
+        m = moments(dist)
+        p = optimal_angles(m)
+        f_opt = average_fidelity(m, p)
+        b = choi.block_basis()[:, 4]
+        r = build_merit(dist) + 0.5 * np.outer(b, b)
+        tr_y, lam = dual_certificate(r, p)
+        assert abs(tr_y - f_opt) <= 1e-12
+        assert lam < -1e-3
+        assert tr_y - 2 * min(lam, 0.0) - f_opt > 1e-3
+
+    def test_rejects_non_hermitian_merit(self):
+        r = build_merit(Uniform()).astype(complex)
+        r[0, 1] += 1e-3
+        with pytest.raises(NonHermitianError):
+            dual_certificate(r, uc_params())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from axiclone import Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein, Uniform, VonMisesFisher
+from axiclone import choi as choi_mod
 from axiclone.cli import main, parse_dist, render_json
 from axiclone.dist import spec_string
 from axiclone.errors import ParseError
@@ -227,7 +228,9 @@ class TestVerifyCommand:
         assert rep["distribution"] == "uniform"
         assert rep["n_samples"] == 450
         assert rep["max_sampled_F"] <= rep["F_opt"] + 1e-9
-        assert rep["max_structured_F"] <= rep["F_opt"] + 1e-7
+        assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
+        assert abs(rep["dual_gap"]) <= 1e-9
+        assert rep["dual_lambda_min"] >= -1e-9
 
     def test_verify_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--dist", "deltapair:theta=1.0472",
@@ -240,6 +243,45 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--dist", "uniform",
                              "--samples", "0")
         assert code == 1
+
+    def test_rejects_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--dist", "uniform",
+                                 "--samples", "5", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
+
+    def test_report_keys_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--dist", "vmf:kappa=1",
+                               "--samples", "20", "--seed", "3")
+        rep = json.loads(out)
+        assert code == 0
+        assert list(rep) == ["distribution", "F_opt", "max_sampled_F",
+                             "n_samples", "dual_gap", "dual_lambda_min",
+                             "F_upper"]
+        assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
+
+    @pytest.mark.parametrize("where", ["in_support", "outside_support"])
+    def test_broken_merit_fails_certificate(self, capsys, monkeypatch, where):
+        # a merit operator the closed form is not optimal for must exit 3
+        # even when no sampled map comes near F_opt: raising R on |000>
+        # moves Tr Y, raising it on |1>|S-> (no cloner weight) moves lambda_min
+        build = choi_mod.build_merit
+        if where == "in_support":
+            bump = np.zeros((8, 8))
+            bump[0, 0] = 1e-6
+        else:
+            b = choi_mod.block_basis()[:, 4]
+            bump = 0.5 * np.outer(b, b)
+
+        monkeypatch.setattr(choi_mod, "build_merit",
+                            lambda dist: build(dist) + bump)
+        code, out, _ = run_cli(capsys, "verify", "--dist", "uniform",
+                               "--samples", "5")
+        rep = json.loads(out)
+        assert code == 3
+        assert rep["max_sampled_F"] <= rep["F_opt"]
+        assert rep["F_upper"] - rep["F_opt"] > 1e-9
 
 
 class TestCircuitCommand:
