@@ -7,11 +7,17 @@ A 1->2 qubit channel E is represented by its 8x8 Choi matrix on
 
 so chi is positive semidefinite with Tr_clones(chi) = 1 and Tr(chi) = 2.
 The ensemble-average single-copy fidelity of the channel is the pairing
-F = Tr(chi R) with the Hermitian merit operator
+F = Tr(chi R) with the merit operator R, the ensemble average of
+1/2 rho^T (x) (rho (x) 1 + 1 (x) rho).  Averaged over the azimuth,
+rho^T (x) rho is quadratic in x = cos(theta), so R depends on the ensemble
+only through its Legendre moments (a1, a2).  With m2 = E[x^2] = (2 a2 + 1)/3
+and k running over the two clones (identity on the other one),
 
-    R = 1/2 Int rho_in^T (x) (rho_in (x) 1 + 1 (x) rho_in) g ,
+    R = 1/8 sum_k [1 + a1 (Z_in + Z_k) + m2 Z_in Z_k
+                   + (1 - m2)/2 (X_in X_k + Yt_in Yt_k)],
 
-averaged over the input ensemble.  Optimality of the analytic cloner is
+where Yt = [[0, -1], [1, 0]] from sigma_y^T (x) sigma_y = Yt (x) Yt, so R is
+real symmetric with Tr R = 2.  Optimality of the analytic cloner is
 certified two ways.  The exact one is an SDP dual point: maximising
 Tr(chi R) over chi >= 0 with Tr_clones(chi) = 1 has the dual
 min Tr(Y) over Y (x) 1 >= R, so any Y with Y (x) 1 - R >= 0 bounds the
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import AxisDistribution, integrate_marginal, moments
+from .dist import AxisDistribution, moments
 from .errors import DomainError, NonHermitianError
 from .optimal import ClonerParams, average_fidelity, optimal_angles
 from .qsim import clone_isometry
@@ -41,54 +47,23 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Uniform azimuthal rule; the integrand carries harmonics up to e^{2 i phi},
-# which a 16-node trapezoid integrates exactly.
-_N_PHI = 16
-_PHIS = 2 * math.pi * np.arange(_N_PHI) / _N_PHI
-
-# Nodes per kernel evaluation.  The (node, phi, 4, 4) array ``half`` takes
-# 4 KB per node; 16 nodes keep it at 64 KB, under glibc's 128 KB mmap
-# threshold, so a 64-node quadrature pass does not make malloc map or trim
-# fresh pages.  The values do not depend on the blocking.
-_KERNEL_BLOCK = 16
+_I2 = np.eye(2)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+# sigma_y^T (x) sigma_y = _YT (x) _YT, so the merit operator is real
+_YT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _merit_kernel(x: np.ndarray) -> np.ndarray:
-    """Azimuth-averaged merit integrand at cos(theta) = x, shape (..., 8, 8)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim == 1 and x.size > _KERNEL_BLOCK:
-        return np.concatenate([_merit_kernel(x[i:i + _KERNEL_BLOCK])
-                               for i in range(0, x.size, _KERNEL_BLOCK)])
-    c = np.sqrt((1 + x) / 2)          # cos(theta/2), theta in [0, pi]
-    s = np.sqrt((1 - x) / 2)
-    amp = np.empty(x.shape + (_N_PHI, 2), dtype=complex)
-    amp[..., 0] = c[..., None]
-    amp[..., 1] = s[..., None] * np.exp(1j * _PHIS)
-    rho = amp[..., :, None] * amp.conj()[..., None, :]
-    # half = rho (x) 1 + 1 (x) rho, laid out (i, k, j, l)
-    half = np.zeros(x.shape + (_N_PHI, 2, 2, 2, 2), dtype=complex)
-    for k in range(2):
-        half[..., :, k, :, k] = rho
-    for i in range(2):
-        half[..., i, :, i, :] += rho
-    half = half.reshape(x.shape + (_N_PHI, 4, 4))
-    # contracting the phi axis performs the azimuthal sum; kron layout i*4+k
-    kern = 0.5 * np.einsum("...pij,...pkl->...ikjl",
-                           np.swapaxes(rho, -1, -2), half).reshape(x.shape + (8, 8))
-    return kern / _N_PHI
-
-
-def build_merit(dist: AxisDistribution, tol: float = 1e-10) -> np.ndarray:
-    """Merit operator R of the ensemble; Hermitian with 0 <= R <= 1."""
-    if dist.has_density:
-        def f(x):
-            return dist.density(x)[:, None, None] * _merit_kernel(x)
-
-        r = integrate_marginal(dist, f, tol=tol)
-    else:
-        r = sum(w * _merit_kernel(np.array([x]))[0]
-                for x, w in dist.point_masses())
-    return 0.5 * (r + r.conj().T)
+def build_merit(dist: AxisDistribution) -> np.ndarray:
+    """Merit operator R of the ensemble; real symmetric with 0 <= R <= 1."""
+    a1, a2 = moments(dist)
+    m2 = (2 * a2 + 1) / 3
+    s2 = (1 - m2) / 2
+    terms = ((1.0, _I2, _I2), (a1, _Z, _I2), (a1, _I2, _Z), (m2, _Z, _Z),
+             (s2, _X, _X), (s2, _YT, _YT))
+    # each (input, clone) factor acts on clone 1, then on clone 2
+    return sum(c * (np.kron(np.kron(a, b), _I2) + np.kron(np.kron(a, _I2), b))
+               for c, a, b in terms) / 8
 
 
 def choi_from_isometry(w: np.ndarray) -> np.ndarray:
@@ -155,9 +130,14 @@ def random_cptp(seed: int, env_dim: int = 1) -> np.ndarray:
     R diagonal phase-fixed, which makes it Haar uniform; deterministic per
     seed.
     """
-    if env_dim not in (1, 2, 3, 4):
-        raise DomainError(f"env_dim must be in 1..4, got {env_dim}")
+    _check_env_dims((env_dim,))
     return choi_from_isometry(_random_isometry(seed, env_dim))
+
+
+def _check_env_dims(env_dims) -> None:
+    """Environment sizes of the Haar sweep: at least one, each in 1..4."""
+    if not env_dims or any(e not in (1, 2, 3, 4) for e in env_dims):
+        raise DomainError(f"environment sizes must be in 1..4, got {env_dims}")
 
 
 def _random_isometry(seed: int, env_dim: int) -> np.ndarray:
@@ -193,8 +173,9 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    _check_env_dims(env_dims)
     # real block then imaginary block of the largest (8 env, 2) draw
-    width = 32 * max(env_dims, default=0)
+    width = 32 * max(env_dims)
     best = -math.inf
     for start in range(0, n_samples, _HAAR_CHUNK):
         n = min(_HAAR_CHUNK, n_samples - start)

@@ -43,6 +43,18 @@ _DIST_KEYS = {
 }
 
 
+def _finite_float(text: str, what: str = "number",
+                  position: int | None = None) -> float:
+    """Parse a finite float; NaN and infinities are parse errors too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"bad number {text!r} for {what}", position) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text!r} for {what}", position)
+    return value
+
+
 def parse_dist(spec: str) -> dist_mod.AxisDistribution:
     """Parse a textual distribution spec; positions are 0-based."""
     spec = spec.strip()
@@ -70,11 +82,7 @@ def parse_dist(spec: str) -> dist_mod.AxisDistribution:
                 raise ParseError(f"unknown key {key!r} for {name}", offset)
             if key in values:
                 raise ParseError(f"duplicate key {key!r}", offset)
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ParseError(f"bad number {val!r} for {key}",
-                                 offset + len(key) + 1) from None
+            values[key] = _finite_float(val, key, offset + len(key) + 1)
             offset += len(chunk) + 1
     elif sep and not rest:
         raise ParseError("trailing colon without parameters", len(name))
@@ -181,8 +189,9 @@ def _parse_sweep(text: str) -> tuple[list[str], np.ndarray]:
     parts = grid.split(":")
     if len(parts) != 3:
         raise ParseError(f"sweep grid must be start:stop:n, got {grid!r}")
+    start = _finite_float(parts[0], "sweep start")
+    stop = _finite_float(parts[1], "sweep stop")
     try:
-        start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
         raise ParseError(f"bad sweep grid {grid!r}") from None
@@ -190,6 +199,8 @@ def _parse_sweep(text: str) -> tuple[list[str], np.ndarray]:
         raise ParseError("sweep needs at least 2 points")
     if start == stop:
         raise ParseError("sweep start and stop must differ")
+    if not math.isfinite(stop - start):
+        raise ParseError(f"sweep grid {grid!r} spans more than a float holds")
     keys = [k.strip() for k in names.split(",") if k.strip()]
     if not keys:
         raise ParseError("sweep needs a parameter name")
@@ -313,8 +324,8 @@ def _build_parser() -> _Parser:
     sweep = add("sweep", cmd_sweep)
     sweep.add_argument("--sweep", required=True, help="param=start:stop:n")
     simulate = add("simulate", cmd_simulate)
-    simulate.add_argument("--theta", type=float, required=True)
-    simulate.add_argument("--phi", type=float, default=0.0)
+    simulate.add_argument("--theta", type=_finite_float, required=True)
+    simulate.add_argument("--phi", type=_finite_float, default=0.0)
     verify = add("verify", cmd_verify)
     verify.add_argument("--samples", type=int, default=10000)
     verify.add_argument("--seed", type=int, default=0)

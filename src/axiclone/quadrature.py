@@ -6,8 +6,7 @@ parent estimate; the interval with the largest error is bisected until the
 global error estimate meets the absolute tolerance.  Intervals are never
 split more than ``max_depth`` times, and an interval whose residual sits at
 double-precision noise is accepted as converged.  Integrands may be scalar
-or array valued (the error is then the entrywise max-abs), which is what
-the merit-operator construction needs.
+or array valued (the error is then the entrywise max-abs).
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 The structured maximiser searches the symmetry-restricted CPTP family with
 Nelder-Mead (scipy), independently of the closed form and of the dual
 certificate.  The Haar loop is the one-sample-at-a-time sweep the batched
-:func:`axiclone.max_sampled_fidelity` must reproduce bit for bit, and the
-merit kernel is the single-block einsum form the blocked
-``axiclone.choi._merit_kernel`` must reproduce bit for bit.
+:func:`axiclone.max_sampled_fidelity` must reproduce bit for bit.  The
+merit kernel, the merit integrand built from explicit pure states and
+summed over a 16-point azimuth grid, is the independent reference for the closed-form
+:func:`axiclone.build_merit`: equal at each latitude and, integrated against
+a density, equal to quadrature accuracy.
 """
 
 import math

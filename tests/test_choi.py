@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Brosseau, ClonerParams, Delta, DeltaPair, MomentPair,
-                      NonHermitianError, Uniform, VonMisesFisher,
+from axiclone import (Brosseau, ClonerParams, Delta, DeltaPair, DomainError,
+                      HenyeyGreenstein, MomentPair, NonHermitianError,
+                      Uniform, VonMisesFisher,
                       average_fidelity, build_merit, choi_fidelity,
                       choi_from_params, dual_certificate,
                       max_sampled_fidelity, moments, optimal_angles,
@@ -13,12 +14,18 @@ from axiclone import (Brosseau, ClonerParams, Delta, DeltaPair, MomentPair,
 from axiclone import choi
 from axiclone.choi import (choi_from_isometry, partial_trace_input,
                            trace_out_clones)
+from axiclone.dist import integrate_marginal
 
 from conftest import random_distribution
 from oracles import (constrained_maximize, haar_isometry,
                      merit_kernel_reference, sampled_fidelity_loop)
 
 SQRT2 = math.sqrt(2.0)
+
+# Ensembles peaked so close to a pole that integrating a density over
+# [-1, 1] misses or cannot resolve the mass; their moments are exact.
+PEAKED = [VonMisesFisher(kappa=1e5), VonMisesFisher(kappa=-1e6),
+          HenyeyGreenstein(h=0.9999), HenyeyGreenstein(h=-0.999999)]
 
 
 def random_params(rng) -> ClonerParams:
@@ -46,22 +53,37 @@ class TestMeritOperator:
             (4 + 2 * SQRT2) / 8, abs=1e-10)
 
     def test_hermitian_and_contractive(self, rng):
-        for _ in range(10):
-            r = build_merit(random_distribution(rng))
+        for dist in [random_distribution(rng) for _ in range(10)] + PEAKED:
+            r = build_merit(dist)
             assert np.linalg.norm(r - r.conj().T) <= 1e-12
+            assert np.trace(r) == pytest.approx(2.0, abs=1e-12)
             eig = np.linalg.eigvalsh(r)
-            assert eig.min() >= -1e-10
-            assert eig.max() <= 1 + 1e-10
+            assert eig.min() >= -1e-12
+            assert eig.max() <= 1 + 1e-12
+            m = moments(dist)
+            p = optimal_angles(m)
+            f_opt = average_fidelity(m, p)
+            assert choi_fidelity(choi_from_params(p), r) == pytest.approx(
+                f_opt, abs=1e-12)
+            tr_y, _ = dual_certificate(r, p)
+            assert abs(tr_y - f_opt) <= 1e-12
 
-    def test_kernel_matches_reference_bit_for_bit(self, rng):
-        # blocked nodes and the slice-built rho (x) 1 + 1 (x) rho must leave
-        # every bit of the kernel, signed zeros included, as the one-block
-        # einsum form has it, so R and verify's output stay the same
-        for x in [rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 37),
-                  np.array([-1.0, 0.0, 1.0])]:
-            got = choi._merit_kernel(x)
-            assert np.array_equal(got.view(np.uint64),
-                                  merit_kernel_reference(x).view(np.uint64))
+    def test_point_masses_equal_reference_kernel(self):
+        # the azimuthal-kernel integrand at one latitude is the merit
+        # operator of that latitude ring
+        for theta in np.concatenate([np.linspace(0.0, math.pi, 41),
+                                     [math.pi / 2]]):
+            got = build_merit(Delta(theta=float(theta)))
+            want = merit_kernel_reference(math.cos(theta))[0]
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_densities_equal_integrated_reference_kernel(self, rng):
+        for _ in range(8):
+            dist = random_distribution(rng, density_only=True)
+            want = integrate_marginal(
+                dist, lambda x: dist.density(x)[:, None, None]
+                * merit_kernel_reference(x), tol=1e-11)
+            assert np.abs(build_merit(dist) - want).max() <= 1e-10
 
     def test_pairing_equals_moment_formula(self, rng):
         dist = VonMisesFisher(kappa=0.7)
@@ -163,6 +185,12 @@ class TestMaxSampledFidelity:
         expected = sampled_fidelity_loop(r, 200, seed=3, env_dims=(3, 1))
         monkeypatch.setattr(choi, "_HAAR_CHUNK", 64)
         assert max_sampled_fidelity(r, 200, seed=3, env_dims=(3, 1)) == expected
+
+    @pytest.mark.parametrize("env_dims", [(0,), (), (5,), (-1,)])
+    def test_rejects_environment_sizes_random_cptp_rejects(self, env_dims):
+        r = build_merit(Uniform())
+        with pytest.raises(DomainError):
+            max_sampled_fidelity(r, 10, env_dims=env_dims)
 
     def test_per_sample_values_match_choi_fidelity(self):
         r = build_merit(VonMisesFisher(kappa=-2.0))

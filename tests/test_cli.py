@@ -68,6 +68,21 @@ class TestParseDist:
             parse_dist("brosseau:P=1.0,mu=0.0")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--dist", "uniform", "--theta", "nan"),
+    ("simulate", "--dist", "uniform", "--theta", "0.7", "--phi", "inf"),
+    ("params", "--dist", "vmf:kappa=inf"),
+    ("sweep", "--dist", "vmf:kappa=0", "--sweep", "kappa=0:1e400:3"),
+    ("sweep", "--dist", "vmf:kappa=0", "--sweep", "kappa=-inf:1:3"),
+    ("sweep", "--dist", "vmf:kappa=0", "--sweep", "kappa=-1e308:1.7e308:3"),
+])
+def test_non_finite_numbers_are_parse_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 class TestRenderJson:
     def test_seventeen_digit_floats(self):
         assert render_json({"x": 5 / 6}) == '{\n  "x": 0.83333333333333337\n}'
@@ -231,6 +246,14 @@ class TestVerifyCommand:
         assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
         assert abs(rep["dual_gap"]) <= 1e-9
         assert rep["dual_lambda_min"] >= -1e-9
+
+    @pytest.mark.parametrize("spec", ["vmf:kappa=1e5", "hg:h=0.9999"])
+    def test_peaked_ensembles_certify(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "verify", "--dist", spec,
+                               "--samples", "20")
+        rep = json.loads(out)
+        assert code == 0
+        assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
 
     def test_verify_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--dist", "deltapair:theta=1.0472",
