@@ -10,9 +10,9 @@ quantum circuit.
 
 from .dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                    HenyeyGreenstein, MomentPair, Tabulated, Uniform,
-                   VonMisesFisher, brosseau_integral, legendre_poly,
-                   load_tabulated, marginal_density, moments,
-                   quadrature_moments, spec_string, validate_moments)
+                   VonMisesFisher, legendre_poly, load_tabulated,
+                   marginal_density, moments, quadrature_moments,
+                   spec_string, validate_moments)
 from .errors import (CloneError, DegenerateDenominatorError, DomainError,
                      InfeasibleMomentsError, NonHermitianError, ParseError,
                      QuadratureError, UnsupportedKindError)

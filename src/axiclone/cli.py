@@ -345,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     except CloneError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
+    except ArithmeticError as exc:
+        # a float failure no CloneError check anticipated; never a traceback
+        sys.stderr.write(f"numeric error: {type(exc).__name__}: {exc}\n")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

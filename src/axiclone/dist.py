@@ -6,10 +6,13 @@ The two leading Legendre moments
 
     a1 = E[P1(x)] = E[x],        a2 = E[P2(x)] = E[(3 x^2 - 1) / 2]
 
-fully determine the optimal symmetric 1->2 cloner for the ensemble, so this
-module provides closed forms where they exist and adaptive Gauss-Legendre
-quadrature otherwise.  Point-mass kinds (single and mirror-pair delta rings)
-carry no density and expose their moments through weighted support points.
+fully determine the optimal symmetric 1->2 cloner for the ensemble.  Every
+built-in kind computes them in closed form (a short power series stands in
+where the closed form cancels), so ``moments`` never integrates; adaptive
+Gauss-Legendre quadrature serves only the cross-checks ``integrate_marginal``,
+``quadrature_moments`` and ``normalization_integral``.  Point-mass kinds
+(single and mirror-pair delta rings) carry no density and expose their
+moments through weighted support points.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "MomentPair", "AxisDistribution", "Uniform", "VonMisesFisher", "Brosseau",
     "HenyeyGreenstein", "Delta", "DeltaPair", "Belt", "Tabulated",
     "legendre_poly", "marginal_density", "moments", "quadrature_moments",
-    "normalization_integral", "brosseau_integral", "validate_moments",
+    "normalization_integral", "validate_moments",
     "load_tabulated", "spec_string",
 ]
 
@@ -153,15 +156,43 @@ class VonMisesFisher(AxisDistribution):
 def _stokes_quadratic(x, P: float, mu: float):
     """1 + mu^2 - P^2 - 2 x mu + x^2 P^2, evaluated without cancellation.
 
-    In completed-square form P^2 (x - mu/P^2)^2 + (1-P^2)(P^2-mu^2)/P^2 both
-    terms are non-negative, so the value stays accurate to round-off even at
-    the P -> 1 peak where the naive expansion loses eleven digits.
+    With c = mu/P (|c| <= 1) it is (P x - c)^2 + (1 - P^2)(1 - c^2): both
+    terms are non-negative and bounded, so the value stays accurate to
+    round-off at the P -> 1 peak, where the naive expansion loses eleven
+    digits, and stays finite when P^2 underflows.  P = 0 forces mu = 0 and
+    the value 1.
     """
     x = np.asarray(x, dtype=float)
-    if P == 0.0:
-        return np.ones_like(x)  # mu^2 <= P^2 forces mu = 0
+    c = mu / P if P else 0.0
+    return (P * x - c) ** 2 + (1 - P) * (1 + P) * (1 - c) * (1 + c)
+
+
+# Below this P the closed form of the axis moments cancels and the series
+# takes over; near 0.8 both branches are within 1e-15 of exact.
+_SERIES_BELOW = 0.8
+# Series coefficient pairs (1/(4k^2 - 1), 1/(4(k+1)^2 - 1)), k = 72 .. 1;
+# below _SERIES_BELOW the dropped tail is under 1e-16 of either sum.
+_SERIES_PAIRS = tuple((1.0 / (4 * k * k - 1), 1.0 / (4 * (k + 1) ** 2 - 1))
+                      for k in range(72, 0, -1))
+
+
+def _axis_moments_series(P: float) -> tuple[float, float]:
+    """b1 = 2 sum_{k>=1} P^(2k-1)/(4k^2-1), b2 = 6 sum_{k>=2} P^(2k-2)/(4k^2-1).
+
+    Horner in P^2, smallest terms first; every term is positive.
+    """
     p2 = P * P
-    return p2 * (x - mu / p2) ** 2 + (1 - p2) * (p2 - mu * mu) / p2
+    s1 = s2 = 0.0
+    for c1, c2 in _SERIES_PAIRS:
+        s1 = s1 * p2 + c1
+        s2 = s2 * p2 + c2
+    return 2 * P * s1, 6 * p2 * s2
+
+
+def _axis_moments_closed(P: float) -> tuple[float, float]:
+    """(b1, b2) = (1/P - (1-P^2) atanh(P)/P^2, 3 b1/P - 2); cancels as P -> 0."""
+    r = (1 - P) * (1 + P) * math.atanh(P) / P
+    return (1 - r) / P, (3 * (1 - r) - 2 * P * P) / (P * P)
 
 
 @dataclass(frozen=True)
@@ -187,16 +218,22 @@ class Brosseau(AxisDistribution):
         x = np.asarray(x, dtype=float)
         P, mu = self.P, self.mu
         quad = _stokes_quadratic(x, P, mu)
-        return (1 - P * P) * (1 - mu * x) / (2 * quad ** 1.5)
+        return (1 - P) * (1 + P) * (1 - mu * x) / (2 * quad ** 1.5)
 
     def moment_pair(self) -> MomentPair:
+        # The marginal is the axis marginal of the sphere density
+        # (1-P^2) / (4 pi (1 - P n.u)^2) with n_z = mu/P: its azimuthal
+        # integral gives density() exactly.  By the addition theorem
+        # a_l = P_l(mu/P) b_l, where b_l = E[P_l(t)] for t = n.u, whose
+        # density is (1-P^2) / (2 (1 - P t)^2) on [-1, 1].
         P, mu = self.P, self.mu
-        i1 = brosseau_integral(1, P, mu)
-        i2 = brosseau_integral(2, P, mu)
-        i3 = brosseau_integral(3, P, mu)
-        a1 = 0.5 * (1 - P * P) * (i1 - mu * i2)
-        a2 = 0.75 * (1 - P * P) * (i2 - mu * i3) - 0.5
-        return MomentPair(a1, a2)
+        if P == 0.0:
+            return MomentPair(0.0, 0.0)
+        axis_moments = (_axis_moments_series if P < _SERIES_BELOW
+                        else _axis_moments_closed)
+        b1, b2 = axis_moments(P)
+        c = mu / P
+        return MomentPair(c * b1, 0.5 * (3 * c * c - 1) * b2)
 
 
 @dataclass(frozen=True)
@@ -411,26 +448,6 @@ def normalization_integral(dist: AxisDistribution, tol: float = 1e-10) -> float:
     if not dist.has_density:
         return float(sum(w for _, w in dist.point_masses()))
     return float(integrate_marginal(dist, lambda x: dist.density(x), tol=tol))
-
-
-def brosseau_integral(n: int, P: float, mu: float) -> float:
-    """Moment integral of x^n against the unnormalised Stokes kernel.
-
-    The quadratic under the 3/2 power has discriminant
-    4 (mu^2 - P^2)(1 - P^2) <= 0, so the integrand is finite on [-1, 1]
-    whenever mu^2 <= P^2 < 1.
-    """
-    if n not in (1, 2, 3):
-        raise DomainError(f"n must be 1, 2 or 3, got {n}")
-    if not 0.0 <= P < 1.0:
-        raise DomainError(f"require 0 <= P < 1, got {P}")
-    if mu ** 2 > P ** 2:
-        raise DomainError(f"require mu^2 <= P^2, got P={P}, mu={mu}")
-
-    def f(x):
-        return x ** n / _stokes_quadratic(x, P, mu) ** 1.5
-
-    return float(integrate(f, -1.0, 1.0))
 
 
 def load_tabulated(path: str) -> Tabulated:

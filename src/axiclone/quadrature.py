@@ -7,6 +7,10 @@ global error estimate meets the absolute tolerance.  Intervals are never
 split more than ``max_depth`` times, and an interval whose residual sits at
 double-precision noise is accepted as converged.  Integrands may be scalar
 or array valued (the error is then the entrywise max-abs).
+
+Every moment the package reports is in closed form; this module serves only
+the cross-checks ``dist.integrate_marginal``, ``dist.quadrature_moments`` and
+``dist.normalization_integral``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ SQRT2 = math.sqrt(2.0)
 # Ensembles peaked so close to a pole that integrating a density over
 # [-1, 1] misses or cannot resolve the mass; their moments are exact.
 PEAKED = [VonMisesFisher(kappa=1e5), VonMisesFisher(kappa=-1e6),
-          HenyeyGreenstein(h=0.9999), HenyeyGreenstein(h=-0.999999)]
+          HenyeyGreenstein(h=0.9999), HenyeyGreenstein(h=-0.999999),
+          Brosseau(P=0.999999, mu=0.999999), Brosseau(P=0.999999, mu=-0.5)]
 
 
 def random_params(rng) -> ClonerParams:

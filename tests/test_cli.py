@@ -6,6 +6,7 @@ import pytest
 
 from axiclone import Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein, Uniform, VonMisesFisher
 from axiclone import choi as choi_mod
+from axiclone import dist as dist_mod
 from axiclone.cli import main, parse_dist, render_json
 from axiclone.dist import spec_string
 from axiclone.errors import ParseError
@@ -129,6 +130,29 @@ class TestParamsCommand:
         assert code == 2
         assert "numeric error" in err
 
+    def test_underflowing_polarization(self, capsys):
+        # P^2 underflows to zero; the moments are those of the uniform ring
+        code, out, err = run_cli(capsys, "params", "--dist", "brosseau:P=1e-300,mu=0")
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["a1"] == 0.0 and rep["a2"] == 0.0
+        code, out, err = run_cli(capsys, "params", "--dist",
+                                 "brosseau:P=1e-300,mu=1e-300")
+        assert code == 0 and err == ""
+        assert 0.0 < json.loads(out)["a1"] <= 1e-300
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError,
+                                     FloatingPointError])
+    def test_arithmetic_error_is_numeric_exit(self, capsys, monkeypatch, exc):
+        def broken(dist):
+            raise exc("injected")
+
+        monkeypatch.setattr(dist_mod, "moments", broken)
+        code, out, err = run_cli(capsys, "params", "--dist", "uniform")
+        assert code == 2
+        assert out == ""
+        assert err == f"numeric error: {exc.__name__}: injected\n"
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "params", "--dist", "brosseau:P=0.6,mu=0.2")
         _, out2, _ = run_cli(capsys, "params", "--dist", "brosseau:P=0.6,mu=0.2")
@@ -186,6 +210,17 @@ class TestSweepCommand:
         rows = out_path.read_text().strip().splitlines()[1:]
         first = rows[0].split(",")
         assert float(first[6]) == pytest.approx(5 / 6, abs=1e-9)
+
+    def test_tied_sweep_to_full_polarization(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--dist", "brosseau:P=0,mu=0",
+                                 "--sweep", "P,mu=0.5:0.999999:3")
+        assert code == 0
+        assert err == ""
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all("nan" not in row for row in rows)
+        last = list(map(float, rows[-1].split(",")))
+        assert last[0] == 0.999999 and 0.9999 < last[1] < 1
 
     def test_full_polarization_envelope_dominates(self, capsys, tmp_path):
         # the fixed P ~ 1 curve lies above the depolarized-phase P = mu curve
@@ -247,7 +282,8 @@ class TestVerifyCommand:
         assert abs(rep["dual_gap"]) <= 1e-9
         assert rep["dual_lambda_min"] >= -1e-9
 
-    @pytest.mark.parametrize("spec", ["vmf:kappa=1e5", "hg:h=0.9999"])
+    @pytest.mark.parametrize("spec", ["vmf:kappa=1e5", "hg:h=0.9999",
+                                      "brosseau:P=0.999999,mu=0.999999"])
     def test_peaked_ensembles_certify(self, capsys, spec):
         code, out, _ = run_cli(capsys, "verify", "--dist", spec,
                                "--samples", "20")

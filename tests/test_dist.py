@@ -3,25 +3,32 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
+
+import axiclone.dist as dist_mod
+import axiclone.quadrature as quadrature_mod
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
                       HenyeyGreenstein, Tabulated, Uniform, UnsupportedKindError,
-                      VonMisesFisher, brosseau_integral, legendre_poly,
-                      load_tabulated, marginal_density, moments,
-                      quadrature_moments, validate_moments)
+                      VonMisesFisher, legendre_poly, load_tabulated,
+                      marginal_density, moments, quadrature_moments,
+                      validate_moments)
 from axiclone.dist import normalization_integral
 
 from conftest import random_distribution
 
 
-def simpson_brosseau_integral(n, P, mu, npts=1_000_001):
-    """Independent fixed-grid oracle: composite Simpson on 1e6 points."""
+def simpson_brosseau_moments(P, mu, npts=1_000_001):
+    """Independent fixed-grid oracle for (a1, a2): composite Simpson on 1e6
+    points over the marginal written out in its naive expanded form."""
     x = np.linspace(-1.0, 1.0, npts)
-    f = x ** n / (1 + mu ** 2 - P ** 2 - 2 * x * mu + x ** 2 * P ** 2) ** 1.5
+    q = 1 + mu ** 2 - P ** 2 - 2 * x * mu + x ** 2 * P ** 2
+    g = (1 - P ** 2) * (1 - mu * x) / (2 * q ** 1.5)
     h = x[1] - x[0]
     w = np.ones(npts)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return h / 3 * float(np.dot(w, f))
+    w *= h / 3
+    return float(np.dot(w, g * x)), float(np.dot(w, g * (3 * x * x - 1) / 2))
 
 
 class TestLegendre:
@@ -69,6 +76,14 @@ class TestMarginalDensity:
     def test_brosseau_unpolarized_is_uniform(self):
         xs = np.linspace(-1, 1, 11)
         assert np.allclose(marginal_density(Brosseau(P=0.0, mu=0.0), xs), 0.5)
+
+    @pytest.mark.parametrize("P", [1e-300, 1e-160])
+    def test_brosseau_underflowing_polarization_is_uniform(self, P):
+        # P^2 underflows to zero (1e-300) or to a subnormal (1e-160)
+        xs = np.linspace(-1, 1, 11)
+        for mu in (P, 0.0, -P):
+            g = marginal_density(Brosseau(P=P, mu=mu), xs)
+            assert np.allclose(g, 0.5, rtol=0, atol=1e-15)
 
     def test_vmf_negative_kappa_mirrors(self):
         g_pos = marginal_density(VonMisesFisher(kappa=2.5), 0.7)
@@ -150,9 +165,7 @@ class TestMoments:
         assert a2 == pytest.approx((3 * c * c - 1) / 2, abs=1e-15)
 
     def test_brosseau_unpolarized(self):
-        a1, a2 = moments(Brosseau(P=0.0, mu=0.0))
-        assert abs(a1) <= 1e-10
-        assert abs(a2) <= 1e-10
+        assert moments(Brosseau(P=0.0, mu=0.0)) == (0.0, 0.0)
 
     def test_brosseau_matches_quadrature(self):
         dist = Brosseau(P=0.8, mu=0.5)
@@ -162,9 +175,10 @@ class TestMoments:
         assert closed.a2 == pytest.approx(quad.a2, abs=1e-9)
 
     def test_brosseau_delta_concentration_limit(self):
-        a1, a2 = moments(Brosseau(P=1 - 1e-4, mu=0.5))
-        assert a1 == pytest.approx(0.5, abs=1e-2)
-        assert a2 == pytest.approx(legendre_poly(2, 0.5), abs=2e-2)
+        a1, a2 = moments(Brosseau(P=1 - 1e-12, mu=0.5))
+        d1, d2 = moments(Delta(theta=math.acos(0.5)))
+        assert a1 == pytest.approx(d1, abs=1e-9)
+        assert a2 == pytest.approx(d2, abs=1e-9)
 
     def test_henyey_greenstein_powers(self):
         for h in (0.3, -0.55, 0.8):
@@ -184,30 +198,94 @@ class TestMoments:
             assert validate_moments(moments(random_distribution(rng)))
 
 
-class TestBrosseauIntegral:
-    def test_odd_vanishes_at_origin(self):
-        assert brosseau_integral(1, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+# P from 0 through the series/closed-form switch at 0.8 up to 0.999, plus
+# seeded draws; mu at both ties, the midpoints and zero.
+BROSSEAU_P_GRID = (
+    [0.0, 1e-8, 0.01, 0.1, 0.25, 0.5, 0.7, 0.79, 0.8, 0.81, 0.9, 0.99, 0.999]
+    + [float(p) for p in np.random.default_rng(77).uniform(0.0, 0.999, 12)])
 
-    def test_square_at_origin(self):
-        assert brosseau_integral(2, 0.0, 0.0) == pytest.approx(2 / 3, abs=1e-12)
+
+def brosseau_grid():
+    return [Brosseau(P=P, mu=mu) for P in BROSSEAU_P_GRID
+            for mu in (-P, -P / 2, 0.0, P / 3, P)]
+
+
+class TestBrosseauMoments:
+    """The closed-form moments of Brosseau against independent integrals."""
+
+    def test_matches_tight_quadrature_on_grid(self):
+        for d in brosseau_grid():
+            closed = moments(d)
+            quad = quadrature_moments(d, tol=1e-13)
+            assert closed.a1 == pytest.approx(quad.a1, abs=1e-12), d
+            assert closed.a2 == pytest.approx(quad.a2, abs=1e-12), d
 
     def test_against_simpson_oracle(self):
-        adaptive = brosseau_integral(3, 0.5, 0.25)
-        oracle = simpson_brosseau_integral(3, 0.5, 0.25)
-        assert adaptive == pytest.approx(oracle, abs=1e-9)
+        for P, mu in ((0.5, 0.25), (0.8, 0.5), (0.3, -0.3), (0.9, -0.45),
+                      (0.6, 0.0)):
+            a1, a2 = moments(Brosseau(P=P, mu=mu))
+            o1, o2 = simpson_brosseau_moments(P, mu)
+            assert a1 == pytest.approx(o1, abs=1e-9)
+            assert a2 == pytest.approx(o2, abs=1e-9)
 
-    def test_sharp_peak_converges(self):
-        # P -> 1 concentrates the kernel; adaptive halving must keep up
-        val = brosseau_integral(2, 0.999, 0.5)
-        assert math.isfinite(val) and val > 0
+    def test_series_and_closed_form_agree_at_switch(self):
+        switch = dist_mod._SERIES_BELOW
+        for P in (np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)):
+            series = dist_mod._axis_moments_series(float(P))
+            closed = dist_mod._axis_moments_closed(float(P))
+            assert np.max(np.abs(np.subtract(series, closed))) <= 1e-15
+
+    def test_unpolarized_moments_vanish(self):
+        assert moments(Brosseau(P=0.0, mu=0.0)) == (0.0, 0.0)
+        assert moments(Brosseau(P=1e-300, mu=0.0)) == (0.0, 0.0)
+        a1, a2 = moments(Brosseau(P=1e-300, mu=1e-300))
+        assert 0.0 < a1 <= 1e-300 and a2 == 0.0
+
+    def test_small_P_series_leading_terms(self):
+        # b1 = 2P/3 + O(P^3) and b2 = 2P^2/5 + O(P^4) on the axis
+        P = 1e-8
+        for mu in (-P, 0.0, P / 3, P):
+            a1, a2 = moments(Brosseau(P=P, mu=mu))
+            c = mu / P
+            assert a1 == pytest.approx(2 * mu / 3, rel=1e-15, abs=1e-30)
+            assert a2 == pytest.approx(0.4 * P * P * (3 * c * c - 1) / 2,
+                                       rel=1e-15, abs=1e-40)
+
+    def test_sharp_peak_matches_quadrature(self):
+        # P -> 1 concentrates the marginal; the closed form needs no refinement
+        d = Brosseau(P=0.999, mu=0.5)
+        closed, quad = moments(d), quadrature_moments(d, tol=1e-13)
+        assert np.max(np.abs(np.subtract(closed, quad))) <= 1e-12
+        a1, a2 = moments(Brosseau(P=0.999999, mu=0.999999))
+        assert 1 - 1e-4 < a1 < 1 and 1 - 1e-4 < a2 < 1
 
     def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            brosseau_integral(4, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            brosseau_integral(2, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            brosseau_integral(2, 0.3, 0.5)
+        for P, mu in ((1.0, 0.0), (-0.1, 0.0), (0.3, 0.5), (0.3, -0.5)):
+            with pytest.raises(DomainError):
+                Brosseau(P=P, mu=mu)
+
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(-1.0, 1.0))
+    def test_moments_feasible_on_whole_domain(self, P, u):
+        mu = P * u
+        m = moments(Brosseau(P=P, mu=mu))
+        assert validate_moments(m, tol=1e-15)
+        # the mean cos(theta) never exceeds the mean Stokes parameter
+        assert abs(m.a1) <= abs(mu) * (1 + 1e-15) + 1e-300
+
+
+def test_moments_never_integrate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments() called adaptive quadrature")
+
+    monkeypatch.setattr(dist_mod, "integrate", refuse)
+    monkeypatch.setattr(quadrature_mod, "integrate", refuse)
+    kinds = [Uniform(), VonMisesFisher(kappa=2.0), Brosseau(P=0.6, mu=0.2),
+             Brosseau(P=0.999999, mu=0.999999), HenyeyGreenstein(h=0.4),
+             Delta(theta=0.7), DeltaPair(theta=1.1),
+             Belt(theta1=0.3, theta2=2.0),
+             Tabulated(xs=(-1.0, 0.0, 1.0), gs=(0.25, 0.5, 0.75))]
+    for d in kinds:
+        assert validate_moments(moments(d))
 
 
 class TestValidateMoments:
