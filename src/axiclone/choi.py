@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import AxisDistribution, moments
-from .errors import DomainError, NonHermitianError
+from .errors import CloneError, DomainError, NonHermitianError
 from .optimal import ClonerParams, average_fidelity, optimal_angles
 from .qsim import clone_isometry
 
@@ -157,6 +157,87 @@ def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
 # Samples per batched QR in max_sampled_fidelity; keeps working arrays ~1 MB.
 _HAAR_CHUNK = 1024
 
+# numpy's SeedSequence (pool of four uint32 words) and PCG64 seeding
+# constants; NEP 19 keeps the bit streams they define stable.
+_SEED_POOL = 4
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _uint32_words(v: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int (none for 0)."""
+    return [(v >> s) & _M32 for s in range(0, v.bit_length(), 32)]
+
+
+def _shift_xor(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+def _pcg64_states(first: int, n: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) that ``default_rng(s)`` holds, for s = first..first+n-1.
+
+    SeedSequence's pool hash and ``generate_state(4, uint64)`` run once over
+    the whole chunk in uint32 arrays; ``n`` must not exceed 2**32, so the
+    words above the lowest take at most two values across the chunk.  A
+    seed with more words than the pool mixes each extra word into the pool
+    in one more round, which is applied to the rows that have that word.
+    From the four uint64 words (s, seq) of each seed, PCG64 takes
+    inc = 2 seq + 1 and state = (inc + s) M + inc mod 2**128.
+    """
+    first = int(first)
+    low = np.arange(n, dtype=np.uint64) + np.uint64(first & _M32)
+    carry = (low >> np.uint64(32)).astype(bool)
+    upper = [_uint32_words(first >> 32), _uint32_words((first >> 32) + 1)]
+    n_words = max(_SEED_POOL, 1 + max(map(len, upper)))
+    words = np.zeros((n_words, n), dtype=np.uint32)
+    words[0] = low.astype(np.uint32)
+    count = np.empty(n, dtype=int)
+    for up, rows in zip(upper, (~carry, carry)):
+        words[1:1 + len(up), rows] = np.array(up, dtype=np.uint32)[:, None]
+        count[rows] = 1 + len(up)
+
+    hash_a = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ np.uint32(hash_a)
+        hash_a = (hash_a * _MULT_A) & _M32
+        return _shift_xor(v * np.uint32(hash_a))
+
+    def mix(x, y):
+        return _shift_xor(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
+
+    # missing words hash like zero words, so padding to the pool is exact
+    pool = [hashmix(words[i]) for i in range(_SEED_POOL)]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SEED_POOL, n_words):
+        has_word = count > src
+        for dst in range(_SEED_POOL):
+            pool[dst] = np.where(has_word, mix(pool[dst], hashmix(words[src])),
+                                 pool[dst])
+    hash_b = _INIT_B
+    out = []
+    for i in range(8):
+        v = pool[i % _SEED_POOL] ^ np.uint32(hash_b)
+        hash_b = (hash_b * _MULT_B) & _M32
+        out.append(_shift_xor(v * np.uint32(hash_b)).astype(np.uint64))
+    # uint64 word k is out[2k] | out[2k+1] << 32; words 0, 1 seed the state
+    # (high half first) and words 2, 3 the stream
+    s_hi, s_lo, q_hi, q_lo = ((out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist()
+                              for k in range(4))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
+        inc = (((c << 64) | d) << 1 | 1) & _M128
+        states.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _M128, inc))
+    return states
+
 
 def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
                          env_dims=(1, 2, 4)) -> float:
@@ -164,7 +245,15 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
 
     Sample k is drawn from ``default_rng(seed + k)`` exactly as
     :func:`random_cptp` draws it, so the sweep is reproducible sample by
-    sample.  Generator streams are sequential, so one draw of the largest
+    sample.  No Generator is built per sample: :func:`_pcg64_states` derives
+    the PCG64 state each ``default_rng(seed + k)`` would start from, for a
+    whole chunk at once, and one Generator is set to each state in turn.
+    The Gaussians drawn from a set state are the same bits as from a fresh
+    Generator seeded the same way, so every sample, and the maximum, is
+    exact.  Each chunk checks the derived state of its first seed against
+    ``np.random.PCG64``'s own and raises :class:`CloneError` on a mismatch,
+    so a change to numpy's seeding fails loudly instead of changing samples.
+    Generator streams are sequential, so one draw of the largest
     environment's Gaussians serves every environment size: its leading
     entries are what a smaller draw would have produced.  Samples are
     processed in chunks with one stacked QR and one contraction per
@@ -176,12 +265,23 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
     _check_env_dims(env_dims)
     # real block then imaginary block of the largest (8 env, 2) draw
     width = 32 * max(env_dims)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
     best = -math.inf
     for start in range(0, n_samples, _HAAR_CHUNK):
         n = min(_HAAR_CHUNK, n_samples - start)
+        # numpy's own seeding, also the check of the seed's type and sign
+        reference = np.random.PCG64(seed + start).state["state"]
+        states = _pcg64_states(seed + start, n)
+        if states[0] != (reference["state"], reference["inc"]):
+            raise CloneError(f"derived PCG64 state for seed {seed + start} "
+                             "differs from numpy's; its seeding has changed")
         z = np.empty((n, width))
-        for k in range(n):
-            np.random.default_rng(seed + start + k).standard_normal(out=z[k])
+        for k, (state, inc) in enumerate(states):
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=z[k])
         for env in env_dims:
             size = 16 * env
             a = z[:, :size] + 1j * z[:, size:2 * size]

@@ -41,6 +41,8 @@ UC_ALPHA = 0.5 * math.asin(2.0 * SQRT2 / 3.0)
 
 DEGENERACY_EPS = 1e-12
 RADICAND_FLOOR = -1e-9
+# Fidelity difference below which two candidate cloners count as tied.
+_TIE_TOL = 1e-14
 
 
 class Regime(str, Enum):
@@ -179,7 +181,16 @@ def optimal_angles(m) -> ClonerParams:
         rad = 3 + 4 * a2 * a2 - 4 * a2
         omega = 2 * SQRT2 * (1 - a2) / math.sqrt(3 * rad)
         alpha = 0.5 * math.asin(min(omega, 1.0))
-        return ClonerParams(alpha, alpha, 0.0, omega, Regime.INTERIOR)
+        equator = ClonerParams(alpha, alpha, 0.0, omega, Regime.INTERIOR)
+        # x+ or x- alone can vanish too (E[x^2] = |E[x]|, a pole mixed with
+        # the equator, or a ring just off the equator): there |Gamma| -> inf
+        # and a boundary cloner wins.  On the equator itself all three tie,
+        # so a boundary cloner must win by more than rounding.
+        boundary = max((pcc_params(True), pcc_params(False)),
+                       key=lambda p: average_fidelity(m, p))
+        if average_fidelity(m, boundary) > average_fidelity(m, equator) + _TIE_TOL:
+            return boundary
+        return equator
 
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
     if abs(g) >= 1.0:

@@ -193,6 +193,14 @@ class TestMaxSampledFidelity:
         with pytest.raises(DomainError):
             max_sampled_fidelity(r, 10, env_dims=env_dims)
 
+    @pytest.mark.parametrize("seed", [2 ** 32 - 100, 2 ** 128 - 100, 2 ** 160])
+    def test_equals_per_sample_loop_across_word_boundaries(self, seed):
+        # each range changes a seed's number of 32-bit words or carries
+        # into the second word part way through
+        r = build_merit(VonMisesFisher(kappa=0.7))
+        assert (max_sampled_fidelity(r, 200, seed=seed)
+                == sampled_fidelity_loop(r, 200, seed=seed))
+
     def test_per_sample_values_match_choi_fidelity(self):
         r = build_merit(VonMisesFisher(kappa=-2.0))
         for k in range(20):
@@ -200,6 +208,34 @@ class TestMaxSampledFidelity:
                            for env in (1, 2, 4))
             assert max_sampled_fidelity(r, 1, seed=k) == pytest.approx(
                 expected, abs=1e-14)
+
+
+def pcg64_state(seed):
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestPcg64States:
+    BOUNDARY = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 5,
+                2 ** 128 - 1, 2 ** 128, 2 ** 128 + 7, 2 ** 160 + 3]
+
+    def test_boundary_seeds_match_numpy(self):
+        for s in self.BOUNDARY:
+            assert choi._pcg64_states(s, 1) == [pcg64_state(s)], s
+
+    def test_random_seeds_match_numpy(self):
+        # 10^4 seeds below 2^63: ten consecutive seeds from each of 1000
+        # random starts, one derivation per start
+        starts = np.random.default_rng(5).integers(0, 2 ** 63 - 10, 1000)
+        for first in starts.tolist():
+            assert (choi._pcg64_states(first, 10)
+                    == [pcg64_state(first + k) for k in range(10)]), first
+
+    @pytest.mark.parametrize("first", [2 ** 32 - 300, 2 ** 64 - 300,
+                                       2 ** 128 - 300, 2 ** 160 - 300])
+    def test_chunk_across_a_word_boundary_matches_numpy(self, first):
+        states = choi._pcg64_states(first, 600)
+        assert states == [pcg64_state(first + k) for k in range(600)]
 
 
 class TestSymmetryBlocks:

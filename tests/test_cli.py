@@ -130,6 +130,18 @@ class TestParamsCommand:
         assert code == 2
         assert "numeric error" in err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_table_is_parse_error(self, capsys, tmp_path, case):
+        path = tmp_path / "table.csv"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b"\xff\xfe0.5,1.0\n")
+        code, out, err = run_cli(capsys, "params", "--dist", f"table:{path}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_underflowing_polarization(self, capsys):
         # P^2 underflows to zero; the moments are those of the uniform ring
         code, out, err = run_cli(capsys, "params", "--dist", "brosseau:P=1e-300,mu=0")
@@ -319,6 +331,17 @@ class TestVerifyCommand:
                              "n_samples", "dual_gap", "dual_lambda_min",
                              "F_upper"]
         assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
+
+    def test_changed_seeding_is_numeric_error(self, capsys, monkeypatch):
+        # a derivation that no longer matches numpy's PCG64 seeding must
+        # stop the sweep instead of drawing other samples
+        monkeypatch.setattr(choi_mod, "_MULT_A", choi_mod._MULT_A ^ 1)
+        code, out, err = run_cli(capsys, "verify", "--dist", "uniform",
+                                 "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numeric error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("where", ["in_support", "outside_support"])
     def test_broken_merit_fails_certificate(self, capsys, monkeypatch, where):

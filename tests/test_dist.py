@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import axiclone.dist as dist_mod
 import axiclone.quadrature as quadrature_mod
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
-                      HenyeyGreenstein, Tabulated, Uniform, UnsupportedKindError,
+                      HenyeyGreenstein, QuadratureError, Tabulated, Uniform, UnsupportedKindError,
                       VonMisesFisher, legendre_poly, load_tabulated,
                       marginal_density, moments, quadrature_moments,
                       validate_moments)
@@ -123,6 +123,25 @@ class TestMarginalDensity:
     ])
     def test_normalization(self, dist):
         assert normalization_integral(dist) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e5, -1e5, 1e6])
+    def test_peaked_vmf_cross_checks(self, kappa):
+        # the mass sits within 1/|kappa| of a pole, below the first 64-node
+        # pass unless the scale points split there
+        dist = VonMisesFisher(kappa=kappa)
+        assert normalization_integral(dist) == pytest.approx(1.0, abs=1e-10)
+        quad, closed = quadrature_moments(dist), moments(dist)
+        assert quad.a1 == pytest.approx(closed.a1, abs=1e-10)
+        assert quad.a2 == pytest.approx(closed.a2, abs=1e-10)
+
+    @pytest.mark.parametrize("dist", [HenyeyGreenstein(h=0.9999),
+                                      HenyeyGreenstein(h=-0.9999),
+                                      VonMisesFisher(kappa=1e10)])
+    def test_too_peaked_cross_checks_raise(self, dist):
+        with pytest.raises(QuadratureError):
+            normalization_integral(dist)
+        with pytest.raises(QuadratureError):
+            quadrature_moments(dist)
 
 
 class TestMoments:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from axiclone import (Brosseau, DegenerateDenominatorError, DeltaPair,
@@ -49,6 +50,17 @@ class TestOptimalAngles:
         assert p.alpha_plus == pytest.approx(math.pi / 4, abs=1e-12)
         assert p.alpha_minus == pytest.approx(math.pi / 4, abs=1e-12)
         assert p.omega_value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,regime", [
+        (MomentPair(0.3, -0.05), Regime.PCC_UPPER),      # x- = 0
+        (MomentPair(-0.2, -0.2), Regime.PCC_LOWER),      # x+ = 0
+        (MomentPair(1e-6, -0.4999985), Regime.PCC_UPPER),
+    ])
+    def test_vanishing_x_factor_off_the_equator_is_boundary(self, m, regime):
+        # E[x^2] = |E[x]| (a pole plus the equator) sends |Gamma| to infinity
+        p = optimal_angles(m)
+        assert p.regime is regime
+        assert average_fidelity(m, p) >= numeric_optimum(m)[2] - 1e-12
 
     def test_vmf_kappa_one_is_upper_boundary(self):
         p = optimal_angles(moments(VonMisesFisher(kappa=1.0)))
@@ -204,6 +216,19 @@ class TestNumericOptimum:
             closed = average_fidelity(m, optimal_angles(m))
             _, _, oracle = numeric_optimum(m)
             assert abs(closed - oracle) <= 1e-7
+
+    @settings(max_examples=50, deadline=None)
+    @given(a1=st.one_of(st.sampled_from([0.0, -1.0, 1.0]),
+                        st.floats(-1.0, 1.0)),
+           t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    def test_closed_form_is_optimal_on_feasible_region(self, a1, t):
+        # t = 0 is the variance bound (3 a1^2 - 1)/2, t = 1 is a2 = 1
+        low = (3 * a1 * a1 - 1) / 2
+        m = MomentPair(a1, low + t * (1.0 - low))
+        p = optimal_angles(m)
+        assert 0.0 <= p.alpha_plus <= math.pi / 2
+        assert 0.0 <= p.alpha_minus <= math.pi / 2
+        assert average_fidelity(m, p) >= numeric_optimum(m)[2] - 1e-12
 
 
 class TestBranchStructure:
