@@ -3,7 +3,8 @@
 The structured maximiser searches the symmetry-restricted CPTP family with
 Nelder-Mead (scipy), independently of the closed form and of the dual
 certificate.  The Haar loop is the one-sample-at-a-time sweep the batched
-:func:`axiclone.max_sampled_fidelity` must reproduce bit for bit.  The
+:func:`axiclone.max_sampled_fidelity` must reproduce exactly: row k of one
+``default_rng(seed)`` stream, one single-matrix QR per environment.  The
 merit kernel, the merit integrand built from explicit pure states and
 summed over a 16-point azimuth grid, is the independent reference for the closed-form
 :func:`axiclone.build_merit`: equal at each latitude and, integrated against
@@ -37,25 +38,37 @@ def merit_kernel_reference(x: np.ndarray) -> np.ndarray:
     return kern / n_phi
 
 
-def haar_isometry(seed: int, env_dim: int) -> np.ndarray:
-    """The isometry behind ``random_cptp(seed, env_dim)``, drawn on its own."""
-    rng = np.random.default_rng(seed)
-    rows = 8 * env_dim
-    a = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+def _phase_fixed_isometry(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
     d = np.diagonal(r)
     return q * (d / np.abs(d)).conj()
 
 
+def haar_isometry(seed: int, env_dim: int) -> np.ndarray:
+    """The isometry behind ``random_cptp(seed, env_dim)``, drawn on its own."""
+    rng = np.random.default_rng(seed)
+    rows = 8 * env_dim
+    a = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    return _phase_fixed_isometry(a)
+
+
 def sampled_fidelity_loop(r: np.ndarray, n_samples: int, seed: int = 0,
                           env_dims=(1, 2, 4)) -> float:
-    """Largest Tr(chi R) over Haar channels, one QR and one contraction each."""
+    """Largest Tr(chi R) over Haar channels, one QR and one contraction each.
+
+    Sample k is the k-th row of 32 * max(env_dims) standard normals drawn
+    from one ``default_rng(seed)``; environment size env reads its first
+    16 env entries as the real part and the next 16 env as the imaginary part.
+    """
+    rng = np.random.default_rng(seed)
     best = -math.inf
-    for env in env_dims:
-        for k in range(n_samples):
-            w = haar_isometry(seed + k, env)
-            kraus = w.reshape(4, -1, 2)
-            v = kraus.transpose(1, 2, 0).reshape(kraus.shape[1], 8)
+    for _ in range(n_samples):
+        row = rng.standard_normal(32 * max(env_dims))
+        for env in env_dims:
+            size = 16 * env
+            a = (row[:size] + 1j * row[size:2 * size]).reshape(8 * env, 2)
+            kraus = _phase_fixed_isometry(a).reshape(4, 2 * env, 2)
+            v = kraus.transpose(1, 2, 0).reshape(2 * env, 8)
             f = float(np.real(np.einsum("ei,ij,ej->", v.conj(), r, v)))
             best = max(best, f)
     return best

@@ -11,6 +11,8 @@ from axiclone.cli import main, parse_dist, render_json
 from axiclone.dist import spec_string
 from axiclone.errors import ParseError
 
+from conftest import random_distribution
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -34,10 +36,12 @@ class TestParseDist:
     def test_examples(self, spec, expected):
         assert parse_dist(spec) == expected
 
-    def test_round_trip_all_kinds(self):
+    def test_round_trip_all_kinds(self, rng):
         dists = [Uniform(), VonMisesFisher(kappa=2.25), Brosseau(P=0.7, mu=-0.3),
                  HenyeyGreenstein(h=-0.55), Delta(theta=0.4),
-                 DeltaPair(theta=2.2), Belt(theta1=0.1, theta2=3.0)]
+                 DeltaPair(theta=2.2), Belt(theta1=0.1, theta2=3.0),
+                 VonMisesFisher(kappa=1e-300), HenyeyGreenstein(h=-0.999999)]
+        dists += [random_distribution(rng) for _ in range(200)]
         for d in dists:
             assert parse_dist(spec_string(d)) == d
 
@@ -331,17 +335,6 @@ class TestVerifyCommand:
                              "n_samples", "dual_gap", "dual_lambda_min",
                              "F_upper"]
         assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
-
-    def test_changed_seeding_is_numeric_error(self, capsys, monkeypatch):
-        # a derivation that no longer matches numpy's PCG64 seeding must
-        # stop the sweep instead of drawing other samples
-        monkeypatch.setattr(choi_mod, "_MULT_A", choi_mod._MULT_A ^ 1)
-        code, out, err = run_cli(capsys, "verify", "--dist", "uniform",
-                                 "--samples", "5")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("numeric error:") and err.count("\n") == 1
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("where", ["in_support", "outside_support"])
     def test_broken_merit_fails_certificate(self, capsys, monkeypatch, where):

@@ -120,6 +120,10 @@ class TestMarginalDensity:
         Belt(theta1=0.4, theta2=2.0),
         Delta(theta=0.8),
         DeltaPair(theta=2.1),
+        HenyeyGreenstein(h=0.9995),
+        HenyeyGreenstein(h=-0.9995),
+        HenyeyGreenstein(h=0.99941),
+        HenyeyGreenstein(h=-0.99941),
     ])
     def test_normalization(self, dist):
         assert normalization_integral(dist) == pytest.approx(1.0, abs=1e-10)
@@ -134,9 +138,20 @@ class TestMarginalDensity:
         assert quad.a1 == pytest.approx(closed.a1, abs=1e-10)
         assert quad.a2 == pytest.approx(closed.a2, abs=1e-10)
 
+    @pytest.mark.parametrize("h", [0.9995, -0.9995, 0.99941, -0.99941])
+    def test_peaked_hg_moments(self, h):
+        # with the density written as 1 + h^2 - 2 h x, which cancels at
+        # the pole, both cross-checks were 2.8e-10 off at |h| = 0.99941
+        dist = HenyeyGreenstein(h=h)
+        quad, closed = quadrature_moments(dist), moments(dist)
+        assert quad.a1 == pytest.approx(closed.a1, abs=1e-10)
+        assert quad.a2 == pytest.approx(closed.a2, abs=1e-10)
+
     @pytest.mark.parametrize("dist", [HenyeyGreenstein(h=0.9999),
                                       HenyeyGreenstein(h=-0.9999),
-                                      VonMisesFisher(kappa=1e10)])
+                                      VonMisesFisher(kappa=1e10),
+                                      HenyeyGreenstein(h=0.9996),
+                                      HenyeyGreenstein(h=-0.9996)])
     def test_too_peaked_cross_checks_raise(self, dist):
         with pytest.raises(QuadratureError):
             normalization_integral(dist)
