@@ -20,8 +20,8 @@ from .optimal import (ClonerParams, Regime, average_fidelity,
                       fidelity_from_angles, gamma, numeric_optimum,
                       optimal_angles, pcc_params, single_copy_fidelity,
                       uc_params, UC_ALPHA)
-from .qsim import (AxisFrame, PureQubit, apply_clone, clone_fidelity_sim,
-                   clone_isometry, partial_trace, rotate_frame)
+from .qsim import (PureQubit, apply_clone, clone_fidelity_sim,
+                   clone_isometry, partial_trace)
 from .choi import (build_merit, choi_fidelity, choi_from_params,
                    dual_certificate, max_sampled_fidelity,
                    optimality_report, random_cptp, symmetry_blocks)

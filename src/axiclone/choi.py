@@ -102,6 +102,9 @@ def partial_trace_input(chi: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
+    # NaN compares false with tol, so a non-finite entry must be caught first
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{name} has a non-finite entry")
     dev = np.max(np.abs(m - m.conj().T))
     if dev > tol:
         raise NonHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
@@ -126,12 +129,15 @@ def random_cptp(seed: int, env_dim: int = 1) -> np.ndarray:
 
     env_dim=1 reproduces the cloner's own shape (three-qubit isometry, the
     ancilla qubit traced out, Kraus rank 2); env_dim=4 reaches full rank 8.
-    The isometry is the QR factor of a complex Gaussian matrix with the
-    R diagonal phase-fixed, which makes it Haar uniform; deterministic per
-    seed.
+    The isometry is the Gram-Schmidt Q factor, diag(R) > 0, of a complex
+    Gaussian matrix (:func:`_haar_columns`), which makes it Haar uniform;
+    deterministic per seed, and exactly sample 0 of
+    :func:`max_sampled_fidelity` with the same seed.
     """
     _check_env_dims((env_dim,))
-    return choi_from_isometry(_random_isometry(seed, env_dim))
+    z = np.random.default_rng(seed).standard_normal((1, 32 * env_dim))
+    re, im = _haar_columns(z, env_dim)[0]
+    return choi_from_isometry((re + 1j * im).T)
 
 
 def _check_env_dims(env_dims) -> None:
@@ -140,21 +146,36 @@ def _check_env_dims(env_dims) -> None:
         raise DomainError(f"environment sizes must be in 1..4, got {env_dims}")
 
 
-def _random_isometry(seed: int, env_dim: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    rows = 8 * env_dim
-    a = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
-    return _phase_fixed_q(a)
+def _haar_columns(z: np.ndarray, env: int) -> np.ndarray:
+    """Haar isometries C^2 -> C^(8 env), one per row of standard normals.
+
+    Row k holds an (8 env, 2) complex Gaussian matrix A: its first 16 env
+    entries are Re A in row-major order, the next 16 env are Im A.  The Q
+    factor of A with diag(R) > 0 is Haar distributed (Mezzadri, Notices
+    AMS 54, 592 (2007)); with two columns it is one Gram-Schmidt step,
+    done here in real arithmetic: normalise column 0, take its projection
+    out of column 1, normalise.  Returns shape (n, 2, 2, 8 env), indexed
+    (sample, re/im, column, row).
+    """
+    n = z.shape[0]
+    size = 16 * env
+    a = z[:, :2 * size].reshape(n, 2, 8 * env, 2).transpose(0, 1, 3, 2)
+    x0, y0, x1, y1 = a[:, 0, 0], a[:, 1, 0], a[:, 0, 1], a[:, 1, 1]
+    n0 = np.sqrt((x0 * x0 + y0 * y0).sum(axis=-1))[:, None]
+    qx, qy = x0 / n0, y0 / n0
+    # <q0, a1> = rr + i ri
+    rr = (qx * x1 + qy * y1).sum(axis=-1)[:, None]
+    ri = (qx * y1 - qy * x1).sum(axis=-1)[:, None]
+    ux = x1 - qx * rr + qy * ri
+    uy = y1 - qy * rr - qx * ri
+    n1 = np.sqrt((ux * ux + uy * uy).sum(axis=-1))[:, None]
+    q = np.empty((n, 2, 2, 8 * env))
+    q[:, 0, 0], q[:, 1, 0] = qx, qy
+    q[:, 0, 1], q[:, 1, 1] = ux / n1, uy / n1
+    return q
 
 
-def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
-    """Q factor of each (..., rows, 2) matrix, columns rotated so diag(R) > 0."""
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d)).conj()[..., None, :]
-
-
-# Samples per batched QR in max_sampled_fidelity; keeps working arrays ~1 MB.
+# Samples per chunk in max_sampled_fidelity; keeps working arrays ~1 MB.
 _HAAR_CHUNK = 1024
 
 
@@ -164,18 +185,26 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
 
     Every sample comes from one ``default_rng(seed)`` stream: sample k is row
     k of its standard normals, 32 * max(env_dims) to a row, and every
-    environment size reads the same rows.  An (8 env, 2) isometry takes the
-    row's first 16 env entries as its real part and the next 16 env as its
-    imaginary part, the order :func:`random_cptp` draws them in, so sample 0
-    is exactly ``random_cptp(seed, env)`` for every ``env``.  Samples are
-    processed in chunks of ``_HAAR_CHUNK`` rows with one stacked QR and one
-    contraction per environment size; the rows are drawn in order and the
-    maximum is a pure reduction, so the result does not depend on
-    ``_HAAR_CHUNK``.
+    environment size reads the same rows.  An (8 env, 2) isometry is the
+    Gram-Schmidt Q factor, diag(R) > 0, of the complex Gaussian matrix whose
+    real part is the row's first 16 env entries and whose imaginary part is
+    the next 16 env (:func:`_haar_columns`), the order :func:`random_cptp`
+    draws them in, so sample 0 is exactly ``random_cptp(seed, env)`` for
+    every ``env``.  R must be a Hermitian 8x8 operator; it enters through its
+    real 16x16 form, so Im R counts.  Samples are processed in chunks of
+    ``_HAAR_CHUNK`` rows with one contraction per environment size; the
+    rows are drawn in order and the maximum is a pure reduction, so the
+    result does not depend on ``_HAAR_CHUNK``.
     """
+    r = np.asarray(r)
+    if r.shape != (8, 8):
+        raise DomainError("merit operator must be 8x8")
+    _require_hermitian(r, "merit operator")
     if n_samples < 1:
         raise DomainError("need at least one sample")
     _check_env_dims(env_dims)
+    # v^dag R v = [Re v; Im v]^T [[Re R, -Im R], [Im R, Re R]] [Re v; Im v]
+    r16 = np.block([[r.real, -r.imag], [r.imag, r.real]])
     rng = np.random.default_rng(seed)
     # real block then imaginary block of the largest (8 env, 2) draw
     width = 32 * max(env_dims)
@@ -184,13 +213,11 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
         n = min(_HAAR_CHUNK, n_samples - start)
         z = rng.standard_normal((n, width))
         for env in env_dims:
-            size = 16 * env
-            a = z[:, :size] + 1j * z[:, size:2 * size]
-            w = _phase_fixed_q(a.reshape(n, 8 * env, 2))
-            # Kraus vectors v[e, 4*i + out] = W[(out, e), i]
-            v = (w.reshape(n, 4, 2 * env, 2).transpose(0, 2, 3, 1)
-                 .reshape(n, 2 * env, 8))
-            f = np.real(np.einsum("nei,ij,nej->n", v.conj(), r, v))
+            # Kraus vectors v[e, 4 i + out] = W[(out, e), i]; split as
+            # (re/im, i, out, e), the columns already have the (16, 2 env)
+            # layout of [Re v; Im v]
+            s = _haar_columns(z, env).reshape(n, 16, 2 * env)
+            f = ((r16 @ s) * s).sum(axis=(1, 2))
             best = max(best, float(f.max()))
     return best
 

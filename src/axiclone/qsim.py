@@ -22,8 +22,8 @@ from .errors import DomainError
 from .optimal import ClonerParams
 
 __all__ = [
-    "PureQubit", "AxisFrame", "clone_isometry", "apply_clone",
-    "partial_trace", "clone_fidelity_sim", "rotate_frame",
+    "PureQubit", "clone_isometry", "apply_clone", "partial_trace",
+    "clone_fidelity_sim",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -51,21 +51,6 @@ class PureQubit:
         else:
             phi = (np.angle(a1) - np.angle(a0)) % (2 * math.pi)
         return cls(theta, phi)
-
-
-@dataclass(frozen=True)
-class AxisFrame:
-    """Orientation (vartheta, varphi) of the axis state in the global basis."""
-
-    vartheta: float = 0.0
-    varphi: float = 0.0
-
-    def matrix(self) -> np.ndarray:
-        """Unitary whose columns are the axis state and its complement."""
-        c = math.cos(self.vartheta / 2)
-        s = math.sin(self.vartheta / 2)
-        ph = np.exp(1j * self.varphi)
-        return np.array([[c, -s / ph], [s * ph, c]], dtype=complex)
 
 
 def clone_isometry(p: ClonerParams) -> np.ndarray:
@@ -120,16 +105,3 @@ def clone_fidelity_sim(q: PureQubit, p: ClonerParams, i: int = 1) -> float:
     rho_i = partial_trace(rho, {i})
     amps = q.amplitudes()
     return float(np.real(amps.conj() @ rho_i @ amps))
-
-
-def rotate_frame(q: PureQubit, f: AxisFrame, inverse: bool = False) -> PureQubit:
-    """Re-express a qubit between the global basis and the axis frame.
-
-    Forward maps a globally-parametrised qubit into the frame where the axis
-    state is |0>; ``inverse=True`` maps back.  The round trip reproduces the
-    original Bloch angles (the canonical form drops only a global phase).
-    """
-    u = f.matrix()
-    amps = q.amplitudes()
-    rotated = (u if inverse else u.conj().T) @ amps
-    return PureQubit.from_amplitudes(rotated)

@@ -4,7 +4,10 @@ The structured maximiser searches the symmetry-restricted CPTP family with
 Nelder-Mead (scipy), independently of the closed form and of the dual
 certificate.  The Haar loop is the one-sample-at-a-time sweep the batched
 :func:`axiclone.max_sampled_fidelity` must reproduce exactly: row k of one
-``default_rng(seed)`` stream, one single-matrix QR per environment.  The
+``default_rng(seed)`` stream, one Gram-Schmidt step, diag(R) > 0, per
+environment, written out on 1-D arrays, so sample 0 is exactly
+``random_cptp``.  The LAPACK QR and complex-contraction path it replaced is
+kept as an independent reference, equal to rounding.  The
 merit kernel, the merit integrand built from explicit pure states and
 summed over a 16-point azimuth grid, is the independent reference for the closed-form
 :func:`axiclone.build_merit`: equal at each latitude and, integrated against
@@ -38,40 +41,93 @@ def merit_kernel_reference(x: np.ndarray) -> np.ndarray:
     return kern / n_phi
 
 
-def _phase_fixed_isometry(a: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+def _real_form(r: np.ndarray) -> np.ndarray:
+    """[[Re R, -Im R], [Im R, Re R]]: v^dag R v = s^T (this) s, s = [Re v; Im v]."""
+    r = np.asarray(r)
+    return np.block([[r.real, -r.imag], [r.imag, r.real]])
+
+
+def _gram_schmidt(row: np.ndarray, env: int):
+    """(Re q0, Re q1, Im q0, Im q1): the Haar columns of one row, 1-D each.
+
+    The row's first 16 env entries are Re A, the next 16 env Im A, for an
+    (8 env, 2) Gaussian matrix A in row-major order.  Gram-Schmidt with
+    diag(R) > 0: normalise column 0, take its projection out of column 1,
+    normalise.
+    """
+    size = 16 * env
+    re = row[:size].reshape(8 * env, 2)
+    im = row[size:2 * size].reshape(8 * env, 2)
+    x0, y0, x1, y1 = re[:, 0], im[:, 0], re[:, 1], im[:, 1]
+    n0 = np.sqrt((x0 * x0 + y0 * y0).sum())
+    qx, qy = x0 / n0, y0 / n0
+    rr = (qx * x1 + qy * y1).sum()
+    ri = (qx * y1 - qy * x1).sum()
+    ux = x1 - qx * rr + qy * ri
+    uy = y1 - qy * rr - qx * ri
+    n1 = np.sqrt((ux * ux + uy * uy).sum())
+    return qx, ux / n1, qy, uy / n1
 
 
 def haar_isometry(seed: int, env_dim: int) -> np.ndarray:
     """The isometry behind ``random_cptp(seed, env_dim)``, drawn on its own."""
-    rng = np.random.default_rng(seed)
-    rows = 8 * env_dim
-    a = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
-    return _phase_fixed_isometry(a)
+    row = np.random.default_rng(seed).standard_normal(32 * env_dim)
+    x0, x1, y0, y1 = _gram_schmidt(row, env_dim)
+    return np.stack([x0 + 1j * y0, x1 + 1j * y1], axis=1)
+
+
+def row_fidelity(r: np.ndarray, row: np.ndarray, env: int) -> float:
+    """Tr(chi R) of the Haar channel of one row, through the real 16x16 form.
+
+    The Kraus vectors v[e, 4 i + out] = W[(out, e), i], stacked as
+    [Re v; Im v], are the columns (Re W[:, 0], Re W[:, 1], Im W[:, 0],
+    Im W[:, 1]) read as a (16, 2 env) matrix.
+    """
+    s = np.concatenate(_gram_schmidt(row, env)).reshape(16, 2 * env)
+    return float(((_real_form(r) @ s) * s).sum())
 
 
 def sampled_fidelity_loop(r: np.ndarray, n_samples: int, seed: int = 0,
                           env_dims=(1, 2, 4)) -> float:
-    """Largest Tr(chi R) over Haar channels, one QR and one contraction each.
+    """Largest Tr(chi R) over Haar channels, one sample at a time.
 
     Sample k is the k-th row of 32 * max(env_dims) standard normals drawn
     from one ``default_rng(seed)``; environment size env reads its first
-    16 env entries as the real part and the next 16 env as the imaginary part.
+    16 env entries as the real part and the next 16 env as the imaginary
+    part.  Each isometry is one Gram-Schmidt step, diag(R) > 0, so sample 0
+    is exactly ``random_cptp(seed, env)``.
     """
     rng = np.random.default_rng(seed)
     best = -math.inf
     for _ in range(n_samples):
         row = rng.standard_normal(32 * max(env_dims))
         for env in env_dims:
-            size = 16 * env
-            a = (row[:size] + 1j * row[size:2 * size]).reshape(8 * env, 2)
-            kraus = _phase_fixed_isometry(a).reshape(4, 2 * env, 2)
-            v = kraus.transpose(1, 2, 0).reshape(2 * env, 8)
-            f = float(np.real(np.einsum("ei,ij,ej->", v.conj(), r, v)))
-            best = max(best, f)
+            best = max(best, row_fidelity(r, row, env))
     return best
+
+
+def lapack_haar_isometry(z: np.ndarray, env: int) -> np.ndarray:
+    """Haar isometries of the rows of ``z`` by LAPACK QR, phase-fixed.
+
+    The QR factor of each (8 env, 2) complex Gaussian matrix, its columns
+    rotated so diag(R) > 0; shape (n, 8 env, 2).
+    """
+    n = z.shape[0]
+    size = 16 * env
+    a = (z[:, :size] + 1j * z[:, size:2 * size]).reshape(n, 8 * env, 2)
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d)).conj()[..., None, :]
+
+
+def lapack_fidelities(r: np.ndarray, z: np.ndarray, env: int) -> np.ndarray:
+    """Tr(chi R) per row of ``z``: LAPACK isometries, complex contraction."""
+    n = z.shape[0]
+    w = lapack_haar_isometry(z, env)
+    # Kraus vectors v[e, 4*i + out] = W[(out, e), i]
+    v = (w.reshape(n, 4, 2 * env, 2).transpose(0, 2, 3, 1)
+         .reshape(n, 2 * env, 8))
+    return np.real(np.einsum("nei,ij,nej->n", v.conj(), r, v))
 
 
 def _chi_symmetric(p: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ from axiclone.dist import integrate_marginal
 
 from conftest import random_distribution
 from oracles import (constrained_maximize, haar_isometry,
-                     merit_kernel_reference, sampled_fidelity_loop)
+                     lapack_fidelities, lapack_haar_isometry,
+                     merit_kernel_reference, row_fidelity,
+                     sampled_fidelity_loop)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,6 +34,12 @@ PEAKED = [VonMisesFisher(kappa=1e5), VonMisesFisher(kappa=-1e6),
 def random_params(rng) -> ClonerParams:
     ap, am = rng.uniform(0, math.pi / 2, 2)
     return ClonerParams.from_angles(float(ap), float(am))
+
+
+def phase_conjugated(r, seed=11):
+    """U R U^dag for a diagonal phase U: Hermitian, with Im R != 0."""
+    phases = np.exp(2j * math.pi * np.random.default_rng(seed).uniform(size=8))
+    return phases[:, None] * r * phases.conj()[None, :]
 
 
 def assert_cptp(chi):
@@ -145,6 +153,20 @@ class TestChoiFidelityErrors:
             choi_fidelity(bad, r)
 
 
+@pytest.mark.parametrize("call", [
+    lambda r: max_sampled_fidelity(r, 10),
+    lambda r: choi_fidelity(random_cptp(1), r),
+    lambda r: dual_certificate(r, uc_params()),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_merit_rejected(call, bad):
+    # a NaN deviation passes "dev > tol"; the sweep returned -inf for this
+    r = build_merit(Uniform())
+    r[0, 0] = bad
+    with pytest.raises(DomainError):
+        call(r)
+
+
 class TestRandomCptp:
     def test_deterministic_per_seed(self):
         a = random_cptp(123, env_dim=2)
@@ -177,18 +199,65 @@ class TestMaxSampledFidelity:
     def test_batched_sweep_equals_per_sample_loop(self):
         for seed in (17, 2 ** 160):
             for dist in (VonMisesFisher(kappa=1.0), DeltaPair(theta=math.pi / 3)):
-                r = build_merit(dist)
-                batched = max_sampled_fidelity(r, 200, seed=seed,
-                                               env_dims=(1, 2, 4))
-                assert batched == sampled_fidelity_loop(r, 200, seed=seed,
-                                                        env_dims=(1, 2, 4))
+                for r in (build_merit(dist), phase_conjugated(build_merit(dist))):
+                    batched = max_sampled_fidelity(r, 200, seed=seed,
+                                                   env_dims=(1, 2, 4))
+                    assert batched == sampled_fidelity_loop(
+                        r, 200, seed=seed, env_dims=(1, 2, 4))
 
     def test_result_independent_of_chunking(self, monkeypatch):
-        r = build_merit(Brosseau(P=0.8, mu=0.5))
-        expected = sampled_fidelity_loop(r, 200, seed=3, env_dims=(3, 1))
-        for chunk in (64, 7):
-            monkeypatch.setattr(choi, "_HAAR_CHUNK", chunk)
-            assert max_sampled_fidelity(r, 200, seed=3, env_dims=(3, 1)) == expected
+        r0 = build_merit(Brosseau(P=0.8, mu=0.5))
+        for r in (r0, phase_conjugated(r0)):
+            expected = sampled_fidelity_loop(r, 200, seed=3, env_dims=(3, 1))
+            for chunk in (1024, 64, 7):
+                monkeypatch.setattr(choi, "_HAAR_CHUNK", chunk)
+                assert max_sampled_fidelity(r, 200, seed=3,
+                                            env_dims=(3, 1)) == expected
+
+    def test_gram_schmidt_matches_lapack_qr(self):
+        r0 = build_merit(VonMisesFisher(kappa=1.0))
+        for seed in (0, 17, 2 ** 160):
+            z = np.random.default_rng(seed).standard_normal((300, 128))
+            for env in (1, 2, 3, 4):
+                q = choi._haar_columns(z, env)
+                w = (q[:, 0] + 1j * q[:, 1]).transpose(0, 2, 1)
+                assert np.max(np.abs(w - lapack_haar_isometry(z, env))) <= 1e-14
+                gram = w.conj().transpose(0, 2, 1) @ w
+                assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+                for r in (r0, phase_conjugated(r0)):
+                    loop = np.array([row_fidelity(r, row, env) for row in z])
+                    assert np.max(np.abs(loop - lapack_fidelities(r, z, env))) <= 1e-14
+
+    def test_complex_hermitian_merit_keeps_imaginary_part(self):
+        # a contraction with Re R alone drops 2 Im(v)^T Im(R) Re(v) and
+        # reads 0.672 instead of 0.692 at env 1
+        r = phase_conjugated(build_merit(VonMisesFisher(kappa=1.0)))
+        for env in (1, 2, 4):
+            z = np.random.default_rng(5).standard_normal((500, 32 * env))
+            expected = lapack_fidelities(r, z, env).max()
+            got = max_sampled_fidelity(r, 500, seed=5, env_dims=(env,))
+            assert got == pytest.approx(expected, abs=1e-14)
+
+    def test_rejects_non_hermitian_merit(self):
+        r = build_merit(VonMisesFisher(kappa=1.0))
+        r[0, 1] += 0.3
+        with pytest.raises(NonHermitianError):
+            max_sampled_fidelity(r, 10)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8,), (16, 16), (8, 8, 1)])
+    def test_rejects_merit_of_wrong_shape(self, shape):
+        with pytest.raises(DomainError):
+            max_sampled_fidelity(np.zeros(shape), 10)
+
+    def test_sweep_never_calls_lapack_qr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Haar sweep called numpy.linalg.qr")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        r = build_merit(VonMisesFisher(kappa=1.0))
+        assert max_sampled_fidelity(r, 50, seed=1) <= 1.0
+        for env in (1, 2, 3, 4):
+            assert_cptp(random_cptp(9, env_dim=env))
 
     @pytest.mark.parametrize("env_dims", [(0,), (), (5,), (-1,)])
     def test_rejects_environment_sizes_random_cptp_rejects(self, env_dims):

@@ -1,15 +1,43 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from axiclone import (AxisFrame, ClonerParams, DomainError, MomentPair,
-                      PureQubit, apply_clone, clone_fidelity_sim,
-                      clone_isometry, optimal_angles, partial_trace,
-                      pcc_params, rotate_frame, single_copy_fidelity,
-                      uc_params)
+from axiclone import (ClonerParams, DomainError, MomentPair, PureQubit,
+                      apply_clone, clone_fidelity_sim, clone_isometry,
+                      optimal_angles, partial_trace, pcc_params,
+                      single_copy_fidelity, uc_params)
 
 SQRT2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class AxisFrame:
+    """Orientation (vartheta, varphi) of the axis state in the global basis."""
+
+    vartheta: float = 0.0
+    varphi: float = 0.0
+
+    def matrix(self) -> np.ndarray:
+        """Unitary whose columns are the axis state and its complement."""
+        c = math.cos(self.vartheta / 2)
+        s = math.sin(self.vartheta / 2)
+        ph = np.exp(1j * self.varphi)
+        return np.array([[c, -s / ph], [s * ph, c]], dtype=complex)
+
+
+def rotate_frame(q: PureQubit, f: AxisFrame, inverse: bool = False) -> PureQubit:
+    """Re-express a qubit between the global basis and the axis frame.
+
+    Forward maps a globally-parametrised qubit into the frame where the axis
+    state is |0>; ``inverse=True`` maps back.  The round trip reproduces the
+    original Bloch angles (the canonical form drops only a global phase).
+    """
+    u = f.matrix()
+    amps = q.amplitudes()
+    rotated = (u if inverse else u.conj().T) @ amps
+    return PureQubit.from_amplitudes(rotated)
 
 
 def random_params(rng) -> ClonerParams:
