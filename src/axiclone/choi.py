@@ -101,23 +101,24 @@ def partial_trace_input(chi: np.ndarray) -> np.ndarray:
     return np.einsum("imin->mn", np.asarray(chi).reshape(2, 4, 2, 4))
 
 
-def _require_hermitian(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
+def _hermitian_8x8(m, name: str, tol: float = 1e-10) -> np.ndarray:
+    """``m`` as an array, checked to be a finite Hermitian 8x8 operator."""
+    m = np.asarray(m)
+    if m.shape != (8, 8):
+        raise DomainError(f"{name} must be 8x8, got shape {m.shape}")
     # NaN compares false with tol, so a non-finite entry must be caught first
     if not np.all(np.isfinite(m)):
         raise DomainError(f"{name} has a non-finite entry")
     dev = np.max(np.abs(m - m.conj().T))
     if dev > tol:
         raise NonHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
+    return m
 
 
 def choi_fidelity(chi: np.ndarray, r: np.ndarray) -> float:
     """F = Tr(chi R); inputs must be Hermitian and the trace must be real."""
-    chi = np.asarray(chi)
-    r = np.asarray(r)
-    if chi.shape != (8, 8) or r.shape != (8, 8):
-        raise DomainError("both operators must be 8x8")
-    _require_hermitian(chi, "chi")
-    _require_hermitian(r, "merit operator")
+    chi = _hermitian_8x8(chi, "chi")
+    r = _hermitian_8x8(r, "merit operator")
     val = complex(np.trace(chi @ r))
     if abs(val.imag) > 1e-12:
         raise NonHermitianError(f"fidelity trace has imaginary part {val.imag:.3e}")
@@ -196,10 +197,7 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
     rows are drawn in order and the maximum is a pure reduction, so the
     result does not depend on ``_HAAR_CHUNK``.
     """
-    r = np.asarray(r)
-    if r.shape != (8, 8):
-        raise DomainError("merit operator must be 8x8")
-    _require_hermitian(r, "merit operator")
+    r = _hermitian_8x8(r, "merit operator")
     if n_samples < 1:
         raise DomainError("need at least one sample")
     _check_env_dims(env_dims)
@@ -231,10 +229,7 @@ def dual_certificate(r: np.ndarray, params: ClonerParams) -> tuple[float, float]
     CPTP Choi matrix obeys Tr(chi R) <= Tr Y - 2 min(lambda_min, 0), for any
     ancilla size.  At the optimum Tr Y = Tr(chi R) and lambda_min = 0.
     """
-    r = np.asarray(r)
-    if r.shape != (8, 8):
-        raise DomainError("merit operator must be 8x8")
-    _require_hermitian(r, "merit operator")
+    r = _hermitian_8x8(r, "merit operator")
     y = trace_out_clones(r @ choi_from_params(params))
     y = 0.5 * (y + y.conj().T)
     lam = float(np.linalg.eigvalsh(np.kron(y, np.eye(4)) - r)[0])
@@ -277,10 +272,7 @@ class SymmetryBlocks:
 
 def symmetry_blocks(m: np.ndarray) -> SymmetryBlocks:
     """Decompose an 8x8 Hermitian operator into its symmetry blocks."""
-    m = np.asarray(m)
-    if m.shape != (8, 8):
-        raise DomainError("expected an 8x8 operator")
-    _require_hermitian(m, "operator")
+    m = _hermitian_8x8(m, "operator")
     b = block_basis()
     mb = b.T @ m @ b
     mask = np.ones((8, 8), dtype=bool)

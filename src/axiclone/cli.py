@@ -4,6 +4,8 @@ Subcommands: params, sweep, simulate, verify, circuit.  Distributions are
 given as ``name`` or ``name:key=value[,key=value...]``, e.g. ``uniform``,
 ``vmf:kappa=1.5``, ``brosseau:P=0.8,mu=0.5``, ``deltapair:theta=1.0472``,
 ``belt:theta1=0.5,theta2=1.2``, ``hg:h=0.3``, ``table:/path/to.csv``.
+The names are those of ``dist.KINDS`` and the keys are each kind's
+dataclass fields.
 Angles are radians everywhere.  Exit codes: 0 success, 1 usage or parse
 error, 2 numeric failure, 3 optimality violation.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,17 +34,6 @@ EXIT_OPTIMALITY = 3
 # Largest excess of a sampled map over F_opt, and largest distance of the
 # dual bound F_upper from F_opt, that verify accepts.
 _CERTIFICATE_TOL = 1e-9
-
-_DIST_KEYS = {
-    "uniform": (),
-    "vmf": ("kappa",),
-    "brosseau": ("P", "mu"),
-    "hg": ("h",),
-    "delta": ("theta",),
-    "deltapair": ("theta",),
-    "belt": ("theta1", "theta2"),
-}
-
 
 def _finite_float(text: str, what: str = "number",
                   position: int | None = None) -> float:
@@ -62,13 +54,14 @@ def parse_dist(spec: str) -> dist_mod.AxisDistribution:
         raise ParseError("empty distribution spec", 0)
     name, sep, rest = spec.partition(":")
     name = name.lower()
-    if name == "table":
+    if name == dist_mod.Tabulated.kind:
         if not rest:
-            raise ParseError("table needs a file path", len("table:"))
+            raise ParseError(f"{name} needs a file path", len(name) + 1)
         return dist_mod.load_tabulated(rest)
-    if name not in _DIST_KEYS:
+    if name not in dist_mod.KINDS:
         raise ParseError(f"unknown distribution {name!r}", 0)
-    allowed = _DIST_KEYS[name]
+    cls = dist_mod.KINDS[name]
+    allowed = [f.name for f in fields(cls)]
     values: dict[str, float] = {}
     if sep and rest:
         offset = len(name) + 1
@@ -90,19 +83,7 @@ def parse_dist(spec: str) -> dist_mod.AxisDistribution:
     if missing:
         raise ParseError(f"{name} needs {', '.join(missing)}", len(spec))
     try:
-        if name == "uniform":
-            return dist_mod.Uniform()
-        if name == "vmf":
-            return dist_mod.VonMisesFisher(kappa=values["kappa"])
-        if name == "brosseau":
-            return dist_mod.Brosseau(P=values["P"], mu=values["mu"])
-        if name == "hg":
-            return dist_mod.HenyeyGreenstein(h=values["h"])
-        if name == "delta":
-            return dist_mod.Delta(theta=values["theta"])
-        if name == "deltapair":
-            return dist_mod.DeltaPair(theta=values["theta"])
-        return dist_mod.Belt(theta1=values["theta1"], theta2=values["theta2"])
+        return cls(**values)
     except CloneError as exc:
         raise ParseError(f"invalid parameters for {name}: {exc}") from exc
 
@@ -209,12 +190,11 @@ def _parse_sweep(text: str) -> tuple[list[str], np.ndarray]:
 
 def _with_params(d: dist_mod.AxisDistribution, keys: list[str],
                  value: float) -> dist_mod.AxisDistribution:
-    from dataclasses import replace
-
-    kind = dist_mod.spec_string(d).partition(":")[0]
+    # only a registered kind's fields are spec keys; a table has none
+    allowed = [f.name for f in fields(d)] if d.kind in dist_mod.KINDS else ()
     for key in keys:
-        if key not in _DIST_KEYS.get(kind, ()):
-            raise ParseError(f"cannot sweep {key!r} on {kind}")
+        if key not in allowed:
+            raise ParseError(f"cannot sweep {key!r} on {d.kind}")
     return replace(d, **{k: value for k in keys})
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,7 +31,7 @@ from .quadrature import integrate
 
 __all__ = [
     "MomentPair", "AxisDistribution", "Uniform", "VonMisesFisher", "Brosseau",
-    "HenyeyGreenstein", "Delta", "DeltaPair", "Belt", "Tabulated",
+    "HenyeyGreenstein", "Delta", "DeltaPair", "Belt", "Tabulated", "KINDS",
     "legendre_poly", "marginal_density", "moments", "quadrature_moments",
     "normalization_integral", "validate_moments",
     "load_tabulated", "spec_string",
@@ -86,12 +86,18 @@ def validate_moments(m, tol: float = FEASIBILITY_TOL) -> bool:
 
 @dataclass(frozen=True)
 class AxisDistribution:
-    """An axisymmetric ensemble of pure qubit states."""
+    """An axisymmetric ensemble of pure qubit states.
 
+    ``kind`` is the name a spec string gives the kind; a parametric kind's
+    spec keys are its dataclass fields.
+    """
+
+    kind: ClassVar[str] = ""
     has_density = True
 
     def density(self, x):
-        raise NotImplementedError
+        raise UnsupportedKindError(
+            f"{type(self).__name__} carries no density; use its moments")
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior points where the marginal is non-smooth (for quadrature)."""
@@ -108,6 +114,8 @@ class AxisDistribution:
 @dataclass(frozen=True)
 class Uniform(AxisDistribution):
     """Isotropic ensemble; marginal 1/2 on [-1, 1]."""
+
+    kind = "uniform"
 
     def density(self, x):
         return np.full_like(np.asarray(x, dtype=float), 0.5)
@@ -129,6 +137,7 @@ class VonMisesFisher(AxisDistribution):
     around the antipode and kappa -> 0 recovers the uniform ensemble.
     """
 
+    kind = "vmf"
     kappa: float = 0.0
 
     def density(self, x):
@@ -217,6 +226,7 @@ class Brosseau(AxisDistribution):
     P = 1 itself is rejected here and must be expressed as Delta.
     """
 
+    kind = "brosseau"
     P: float = 0.0
     mu: float = 0.0
 
@@ -260,6 +270,7 @@ _HG_MAX_QUADRATURE_H = 0.9995
 class HenyeyGreenstein(AxisDistribution):
     """One-parameter scattering phase function with moments a_n = h^n."""
 
+    kind = "hg"
     h: float = 0.0
 
     def __post_init__(self):
@@ -294,15 +305,13 @@ def _check_polar(value: float, name: str) -> None:
 class Delta(AxisDistribution):
     """All states on the latitude ring theta = vartheta (unknown azimuth)."""
 
+    kind = "delta"
     theta: float = 0.0
 
     has_density = False
 
     def __post_init__(self):
         _check_polar(self.theta, "theta")
-
-    def density(self, x):
-        raise UnsupportedKindError("Delta carries no density; use its moments")
 
     def point_masses(self) -> list[tuple[float, float]]:
         return [(math.cos(self.theta), 1.0)]
@@ -316,15 +325,13 @@ class Delta(AxisDistribution):
 class DeltaPair(AxisDistribution):
     """Equal-weight mirror latitudes theta and pi - theta."""
 
+    kind = "deltapair"
     theta: float = 0.0
 
     has_density = False
 
     def __post_init__(self):
         _check_polar(self.theta, "theta")
-
-    def density(self, x):
-        raise UnsupportedKindError("DeltaPair carries no density; use its moments")
 
     def point_masses(self) -> list[tuple[float, float]]:
         c = math.cos(self.theta)
@@ -339,6 +346,7 @@ class DeltaPair(AxisDistribution):
 class Belt(AxisDistribution):
     """States uniform on the band between latitudes theta1 < theta2."""
 
+    kind = "belt"
     theta1: float = 0.0
     theta2: float = math.pi
 
@@ -371,6 +379,7 @@ class Belt(AxisDistribution):
 class Tabulated(AxisDistribution):
     """Piecewise-linear density through samples (x_i, g_i), renormalised."""
 
+    kind = "table"
     xs: tuple[float, ...] = ()
     gs: tuple[float, ...] = ()
     source: str | None = None
@@ -489,6 +498,13 @@ def normalization_integral(dist: AxisDistribution, tol: float = 1e-10) -> float:
     return float(integrate_marginal(dist, lambda x: dist.density(x), tol=tol))
 
 
+# spec name -> class of every parametric kind; Tabulated is written
+# "table:<path>" instead and is parsed by load_tabulated
+KINDS: dict[str, type[AxisDistribution]] = {
+    cls.kind: cls for cls in (Uniform, VonMisesFisher, Brosseau,
+                              HenyeyGreenstein, Delta, DeltaPair, Belt)}
+
+
 def load_tabulated(path: str) -> Tabulated:
     """Read a two-column CSV (cos(theta), g); an optional header is skipped.
 
@@ -523,22 +539,11 @@ def load_tabulated(path: str) -> Tabulated:
 
 def spec_string(dist: AxisDistribution) -> str:
     """Canonical textual form accepted back by the CLI parser."""
-    if isinstance(dist, Uniform):
-        return "uniform"
-    if isinstance(dist, VonMisesFisher):
-        return f"vmf:kappa={dist.kappa!r}"
-    if isinstance(dist, Brosseau):
-        return f"brosseau:P={dist.P!r},mu={dist.mu!r}"
-    if isinstance(dist, HenyeyGreenstein):
-        return f"hg:h={dist.h!r}"
-    if isinstance(dist, Delta):
-        return f"delta:theta={dist.theta!r}"
-    if isinstance(dist, DeltaPair):
-        return f"deltapair:theta={dist.theta!r}"
-    if isinstance(dist, Belt):
-        return f"belt:theta1={dist.theta1!r},theta2={dist.theta2!r}"
     if isinstance(dist, Tabulated):
         if dist.source is None:
             raise UnsupportedKindError("tabulated density has no source path")
-        return f"table:{dist.source}"
-    raise UnsupportedKindError(f"unknown distribution {type(dist).__name__}")
+        return f"{dist.kind}:{dist.source}"
+    if type(dist) is not KINDS.get(dist.kind):
+        raise UnsupportedKindError(f"unknown distribution {type(dist).__name__}")
+    params = ",".join(f"{f.name}={getattr(dist, f.name)!r}" for f in fields(dist))
+    return f"{dist.kind}:{params}" if params else dist.kind

@@ -41,17 +41,6 @@ class PureQubit:
                          np.exp(1j * self.phi) * math.sin(self.theta / 2)],
                         dtype=complex)
 
-    @classmethod
-    def from_amplitudes(cls, amps: np.ndarray) -> "PureQubit":
-        """Canonical (theta, phi) of a state vector; global phase dropped."""
-        a0, a1 = complex(amps[0]), complex(amps[1])
-        theta = 2.0 * math.atan2(abs(a1), abs(a0))
-        if abs(a1) < 1e-15 or abs(a0) < 1e-15:
-            phi = 0.0
-        else:
-            phi = (np.angle(a1) - np.angle(a0)) % (2 * math.pi)
-        return cls(theta, phi)
-
 
 def clone_isometry(p: ClonerParams) -> np.ndarray:
     """8x2 matrix whose columns are the images of |0> and |1> (ancillae |00>)."""

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from axiclone.choi import _require_hermitian, symmetry_blocks
+from axiclone.choi import _hermitian_8x8, symmetry_blocks
 
 
 def merit_kernel_reference(x: np.ndarray) -> np.ndarray:
@@ -163,8 +163,7 @@ def constrained_maximize(r: np.ndarray, seed: int = 2024,
     boundary), so the reported maximiser is feasible exactly and the
     objective there concave.  Returns (best fidelity, best Choi matrix).
     """
-    r = np.asarray(r)
-    _require_hermitian(r, "merit operator")
+    r = _hermitian_8x8(r, "merit operator")
     rr = np.real(r)
     rng = np.random.default_rng(seed)
 

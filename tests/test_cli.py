@@ -1,15 +1,21 @@
+import hashlib
 import json
 import math
+import shlex
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from axiclone import Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein, Uniform, VonMisesFisher
+from axiclone import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
+                      HenyeyGreenstein, MomentPair, Uniform, VonMisesFisher)
 from axiclone import choi as choi_mod
 from axiclone import dist as dist_mod
 from axiclone.cli import main, parse_dist, render_json
 from axiclone.dist import spec_string
-from axiclone.errors import ParseError
+from axiclone.errors import ParseError, UnsupportedKindError
 
 from conftest import random_distribution
 
@@ -20,6 +26,36 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@dataclass(frozen=True)
+class Toy(AxisDistribution):
+    """A kind defined outside the package: one ring at cos(theta) = s."""
+
+    kind = "toy"
+    s: float = 0.0
+
+    def moment_pair(self) -> MomentPair:
+        return MomentPair(self.s, (3 * self.s * self.s - 1) / 2)
+
+
+_POLAR = st.floats(0.0, math.pi)
+
+# One strategy per registered kind, reaching the extreme finite floats of
+# each kind's domain.
+KIND_STRATEGIES = {
+    "uniform": st.just(Uniform()),
+    "vmf": st.builds(VonMisesFisher,
+                     st.floats(allow_nan=False, allow_infinity=False)),
+    "brosseau": st.floats(0.0, 1.0, exclude_max=True).flatmap(
+        lambda P: st.builds(Brosseau, st.just(P), st.floats(-P, P))),
+    "hg": st.builds(HenyeyGreenstein,
+                    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    "delta": st.builds(Delta, _POLAR),
+    "deltapair": st.builds(DeltaPair, _POLAR),
+    "belt": st.lists(_POLAR, min_size=2, max_size=2, unique=True).map(
+        lambda thetas: Belt(*sorted(thetas))),
+}
 
 
 class TestParseDist:
@@ -44,6 +80,37 @@ class TestParseDist:
         dists += [random_distribution(rng) for _ in range(200)]
         for d in dists:
             assert parse_dist(spec_string(d)) == d
+
+    def test_strategy_for_every_kind(self):
+        assert set(KIND_STRATEGIES) == set(dist_mod.KINDS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(*KIND_STRATEGIES.values()))
+    def test_round_trip_property(self, d):
+        assert parse_dist(spec_string(d)) == d
+
+    def test_new_kind_needs_no_cli_edit(self, capsys, monkeypatch):
+        monkeypatch.setitem(dist_mod.KINDS, "toy", Toy)
+        assert parse_dist("toy:s=0.5") == Toy(0.5)
+        assert spec_string(Toy(0.5)) == "toy:s=0.5"
+        code, out, err = run_cli(capsys, "sweep", "--dist", "toy:s=0",
+                                 "--sweep", "s=0:1:3")
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == 3 and all("nan" not in row for row in rows)
+        code, out, err = run_cli(capsys, "sweep", "--dist", "toy:s=0",
+                                 "--sweep", "x=0:1:3")
+        assert code == 1 and out == ""
+        assert err == "error: cannot sweep 'x' on toy\n"
+
+    def test_unregistered_type_has_no_spec(self):
+        @dataclass(frozen=True)
+        class Concentrated(VonMisesFisher):
+            pass
+
+        for d in (Toy(0.5), Concentrated(2.0)):
+            with pytest.raises(UnsupportedKindError):
+                spec_string(d)
 
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "flat.csv"
@@ -264,6 +331,14 @@ class TestSweepCommand:
         assert len(nan_rows) == 1
         assert len(warnings) == 1
 
+    def test_table_has_no_sweep_keys(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("-1.0,0.5\n1.0,0.5\n")
+        code, out, err = run_cli(capsys, "sweep", "--dist", f"table:{path}",
+                                 "--sweep", "xs=0:1:3")
+        assert code == 1 and out == ""
+        assert err == "error: cannot sweep 'xs' on table\n"
+
     def test_bad_sweep_spec(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
                              "--sweep", "kappa=0:3")
@@ -384,3 +459,66 @@ class TestCircuitCommand:
         _, out, _ = run_cli(capsys, "circuit", "--dist", "belt:theta1=0.5,theta2=1.2")
         rep = json.loads(out)
         assert parse_dist(rep["distribution"]) == Belt(theta1=0.5, theta2=1.2)
+
+
+def _readme_commands() -> list[str]:
+    """The ``axiclone ...`` lines of README's "Command line" block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("axiclone ")]
+
+
+# sha256 of each README example's output (stdout, or the --out file)
+README_SHA256 = {
+    "axiclone params --dist vmf:kappa=1.5":
+        "78483268967c30af8b4464fcfe728b3e962be5ff231f94a1925907c2a00fe627",
+    "axiclone sweep --dist vmf:kappa=0 --sweep kappa=0:3:301 --out sweep.csv":
+        "9c56d152d67b12030dec681b7c7874e72ddafe43fc93114f71205f721f629f7f",
+    "axiclone sweep --dist brosseau:P=0,mu=0 --sweep P,mu=0:0.95:96 --out tied.csv":
+        "31493586ae84ef978830e40ba5ecc489885ef8bcb4ff469b65242a13df7d823c",
+    "axiclone simulate --dist uniform --theta 0.7 --phi 2.1":
+        "2900b04249189d20223bc24b9f0259d18fe49dfec9bc3cb7aa92cd573a6dc138",
+    "axiclone circuit --dist brosseau:P=0.8,mu=0.5":
+        "906a4db2524125cf936b9409f8bd957b2a2677cb876ce3a541f1ebf47bdee1e4",
+}
+# verify's report; max_sampled_F depends on BLAS rounding and is checked
+# to 1e-15, every other field exactly and in this order
+README_VERIFY = {
+    "axiclone verify --dist deltapair:theta=1.0472 --samples 10000 --seed 42": {
+        "distribution": "deltapair:theta=1.0472",
+        "F_opt": 0.83493126195043865,
+        "max_sampled_F": 0.70739189978782702,
+        "n_samples": 30000,
+        "dual_gap": -1.1102230246251565e-16,
+        "dual_lambda_min": -3.7133924407628527e-18,
+        "F_upper": 0.83493126195043854,
+    },
+}
+
+
+class TestReadmeExamples:
+    def test_every_example_is_pinned(self):
+        assert sorted(_readme_commands()) == sorted({**README_SHA256,
+                                                     **README_VERIFY})
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_output_is_pinned(self, capsys, tmp_path, line):
+        argv = shlex.split(line)[1:]
+        out_file = None
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            out_file = argv[i] = str(tmp_path / argv[i])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if out_file is not None:
+            assert out == ""
+            out = Path(out_file).read_text(encoding="utf-8")
+        if line in README_VERIFY:
+            expected = dict(README_VERIFY[line])
+            rep = json.loads(out)
+            sampled = rep.pop("max_sampled_F")
+            assert abs(sampled - expected.pop("max_sampled_F")) <= 1e-15
+            assert list(rep.items()) == list(expected.items())
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == README_SHA256[line]

@@ -27,6 +27,17 @@ class AxisFrame:
         return np.array([[c, -s / ph], [s * ph, c]], dtype=complex)
 
 
+def from_amplitudes(amps: np.ndarray) -> PureQubit:
+    """Canonical (theta, phi) of a state vector; global phase dropped."""
+    a0, a1 = complex(amps[0]), complex(amps[1])
+    theta = 2.0 * math.atan2(abs(a1), abs(a0))
+    if abs(a1) < 1e-15 or abs(a0) < 1e-15:
+        phi = 0.0
+    else:
+        phi = (np.angle(a1) - np.angle(a0)) % (2 * math.pi)
+    return PureQubit(theta, phi)
+
+
 def rotate_frame(q: PureQubit, f: AxisFrame, inverse: bool = False) -> PureQubit:
     """Re-express a qubit between the global basis and the axis frame.
 
@@ -37,7 +48,7 @@ def rotate_frame(q: PureQubit, f: AxisFrame, inverse: bool = False) -> PureQubit
     u = f.matrix()
     amps = q.amplitudes()
     rotated = (u if inverse else u.conj().T) @ amps
-    return PureQubit.from_amplitudes(rotated)
+    return from_amplitudes(rotated)
 
 
 def random_params(rng) -> ClonerParams:
@@ -75,7 +86,7 @@ class TestPureQubit:
         for _ in range(20):
             q = PureQubit(float(rng.uniform(0.1, math.pi - 0.1)),
                           float(rng.uniform(0, 2 * math.pi)))
-            back = PureQubit.from_amplitudes(q.amplitudes())
+            back = from_amplitudes(q.amplitudes())
             assert back.theta == pytest.approx(q.theta, abs=1e-12)
             assert back.phi == pytest.approx(q.phi, abs=1e-12)
 
