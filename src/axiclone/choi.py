@@ -56,7 +56,11 @@ _YT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def build_merit(dist: AxisDistribution) -> np.ndarray:
     """Merit operator R of the ensemble; real symmetric with 0 <= R <= 1."""
-    a1, a2 = moments(dist)
+    return _merit(*moments(dist))
+
+
+def _merit(a1: float, a2: float) -> np.ndarray:
+    """Merit operator R from the Legendre moments (a1, a2)."""
     m2 = (2 * a2 + 1) / 3
     s2 = (1 - m2) / 2
     terms = ((1.0, _I2, _I2), (a1, _Z, _I2), (a1, _I2, _Z), (m2, _Z, _Z),
@@ -301,7 +305,7 @@ def optimality_report(dist: AxisDistribution, n_samples: int,
     m = moments(dist)
     params = optimal_angles(m)
     f_opt = average_fidelity(m, params)
-    r = build_merit(dist)
+    r = _merit(*m)
     env_dims = (1, 2, 4)
     sampled = max_sampled_fidelity(r, n_samples, seed=seed, env_dims=env_dims)
     tr_y, lam = dual_certificate(r, params)

@@ -24,7 +24,8 @@ from . import circuit as circuit_mod
 from . import dist as dist_mod
 from . import qsim
 from .errors import CloneError, ParseError
-from .optimal import (average_fidelity, optimal_angles, pcc_params, uc_params)
+from .optimal import (average_fidelity, optimal_angles, pcc_params,
+                      single_copy_fidelity, uc_params)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,8 +235,6 @@ def cmd_simulate(args) -> int:
     p = optimal_angles(m)
     q = qsim.PureQubit(args.theta, args.phi)
     state = qsim.apply_clone(q, p)
-    from .optimal import single_copy_fidelity
-
     report = {
         "amplitudes": [[float(a.real), float(a.imag)] for a in state],
         "F_clone1": qsim.clone_fidelity_sim(q, p, 1),

@@ -545,5 +545,6 @@ def spec_string(dist: AxisDistribution) -> str:
         return f"{dist.kind}:{dist.source}"
     if type(dist) is not KINDS.get(dist.kind):
         raise UnsupportedKindError(f"unknown distribution {type(dist).__name__}")
-    params = ",".join(f"{f.name}={getattr(dist, f.name)!r}" for f in fields(dist))
+    params = ",".join(f"{f.name}={float(getattr(dist, f.name))!r}"
+                      for f in fields(dist))
     return f"{dist.kind}:{params}" if params else dist.kind

@@ -139,14 +139,6 @@ def single_copy_fidelity(theta: float, p: ClonerParams) -> float:
            + 2 * SQRT2 * math.sin(ap + am)) * sin_sq)
 
 
-def _pcc_candidates(m) -> tuple[ClonerParams, ClonerParams]:
-    g = gamma(m)
-    omega = _omega_or_nan(*m)
-    upper = ClonerParams(0.0, math.pi / 2, g, omega, Regime.PCC_UPPER)
-    lower = ClonerParams(math.pi / 2, 0.0, g, omega, Regime.PCC_LOWER)
-    return upper, lower
-
-
 def uc_params() -> ClonerParams:
     """The state-independent cloner (optimal for the uniform ensemble)."""
     return ClonerParams(UC_ALPHA, UC_ALPHA, 0.0, 2 * SQRT2 / 3, Regime.INTERIOR)
@@ -194,10 +186,12 @@ def optimal_angles(m) -> ClonerParams:
 
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
     if abs(g) >= 1.0:
-        upper, lower = _pcc_candidates(m)
-        f_up = average_fidelity(m, upper)
-        f_lo = average_fidelity(m, lower)
-        return upper if f_up >= f_lo else lower
+        omega = _omega_or_nan(a1, a2)
+        upper = ClonerParams(0.0, math.pi / 2, g, omega, Regime.PCC_UPPER)
+        lower = ClonerParams(math.pi / 2, 0.0, g, omega, Regime.PCC_LOWER)
+        if average_fidelity(m, upper) >= average_fidelity(m, lower):
+            return upper
+        return lower
 
     rad = 3 + 4 * a2 * a2 - 3 * a1 * a1 - 4 * a2
     if rad < RADICAND_FLOOR or prod <= 0:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein,
-                      MomentPair, Uniform, VonMisesFisher)
+                      MomentPair, Uniform, VonMisesFisher, average_fidelity,
+                      build_merit, choi_from_params, moments, optimal_angles)
+from axiclone.choi import trace_out_clones
+
+from oracles import primal_sdp_max
 
 
 def random_feasible_moments(rng) -> MomentPair:
@@ -35,6 +39,25 @@ def random_distribution(rng, density_only: bool = False):
     if kind == "delta":
         return Delta(theta=rng.uniform(0.0, math.pi))
     return DeltaPair(theta=rng.uniform(0.0, math.pi))
+
+
+def assert_primal_optimum(dist, pinned: bool = True):
+    """The primal SDP solve meets F_opt from below on a CPTP chi; (F, chi).
+
+    ``pinned`` asserts chi = chi_opt too, where the optimum is one point.
+    """
+    m = moments(dist)
+    p = optimal_angles(m)
+    f_opt = average_fidelity(m, p)
+    f, chi = primal_sdp_max(build_merit(dist))
+    assert f <= f_opt + 1e-12
+    assert abs(f - f_opt) <= 1e-10
+    assert np.abs(chi - chi.T).max() <= 1e-12
+    assert np.linalg.eigvalsh(chi).min() >= -1e-12
+    assert np.abs(trace_out_clones(chi) - np.eye(2)).max() <= 1e-13
+    if pinned:
+        assert np.linalg.norm(chi - choi_from_params(p)) <= 1e-8
+    return f, chi
 
 
 @pytest.fixture

@@ -1,25 +1,28 @@
-"""Reference implementations that the package no longer ships.
+"""Independent references for the tests; numpy only.
 
-The structured maximiser searches the symmetry-restricted CPTP family with
-Nelder-Mead (scipy), independently of the closed form and of the dual
-certificate.  The Haar loop is the one-sample-at-a-time sweep the batched
-:func:`axiclone.max_sampled_fidelity` must reproduce exactly: row k of one
-``default_rng(seed)`` stream, one Gram-Schmidt step, diag(R) > 0, per
-environment, written out on 1-D arrays, so sample 0 is exactly
-``random_cptp``.  The LAPACK QR and complex-contraction path it replaced is
-kept as an independent reference, equal to rounding.  The
-merit kernel, the merit integrand built from explicit pure states and
-summed over a 16-point azimuth grid, is the independent reference for the closed-form
+The primal solver maximises Tr(chi R) over every CPTP map with a log-det
+barrier (Audenaert & De Moor, PRA 65, 030302 (2002), for channel
+optimisation as an SDP), reading nothing of the closed form, so its optimum
+checks the analytic cloner from the primal side, as the dual certificate
+checks it from the other.  The Haar loop is the one-sample-at-a-time sweep
+the batched :func:`axiclone.max_sampled_fidelity` must reproduce exactly:
+row k of one ``default_rng(seed)`` stream, one Gram-Schmidt step,
+diag(R) > 0, per environment, written out on 1-D arrays, so sample 0 is
+exactly ``random_cptp``.  The LAPACK QR and complex-contraction path it
+replaced is kept as an independent reference, equal to rounding.  The merit
+kernel, the merit integrand built from explicit pure states and summed over
+a 16-point azimuth grid, is the independent reference for the closed-form
 :func:`axiclone.build_merit`: equal at each latitude and, integrated against
-a density, equal to quadrature accuracy.
+a density, equal to quadrature accuracy.  The vMF regime threshold is found
+by bisection on Gamma.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
-from axiclone.choi import _hermitian_8x8, symmetry_blocks
+from axiclone import VonMisesFisher, gamma, moments
+from axiclone.choi import trace_out_clones
 
 
 def merit_kernel_reference(x: np.ndarray) -> np.ndarray:
@@ -130,104 +133,61 @@ def lapack_fidelities(r: np.ndarray, z: np.ndarray, env: int) -> np.ndarray:
     return np.real(np.einsum("nei,ij,nej->n", v.conj(), r, v))
 
 
-def _chi_symmetric(p: np.ndarray) -> np.ndarray:
-    """Choi matrix of the symmetry-restricted family.
+# A_i = e_i (x) 1_4: Tr(A_i chi) are the three entries of Tr_clones chi.
+_CLONE_TRACE = np.stack([np.kron(e, np.eye(4)) for e in (
+    np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0]))])
 
-    Parameters (eta1, eta2, eta3, xi1, xi2, xi3, zeta1, zeta2); the two
-    remaining diagonal entries are eliminated by trace preservation,
-    eta4 = 1 - 2 eta2 - eta1 and xi4 = 1 - 2 xi2 - xi1.
+
+def primal_sdp_max(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximise Tr(chi R) over every real CPTP Choi matrix chi; (F, chi).
+
+    Follows the central path of t Tr(chi R) + log det chi subject to
+    Tr_clones chi = 1 (Boyd & Vandenberghe, Convex Optimization, 10.2 and
+    11.3) for t = 8, 64, ... until the duality gap 8/t is below 1e-11.
+    chi is held as a factor, chi = L L^T, so that its vanishing
+    eigenvalues keep their relative precision.  The Newton step in those
+    coordinates is S, the part of t L^T R L + 1 orthogonal to the
+    L^T A_i L; it is projected twice more because t R and the multipliers
+    cancel at large t.  The damped step 1 + S / (1 + |S|_F) is positive
+    definite, and the congruence (Tr_clones chi)^(-1/2) (x) 1_4 restores
+    the constraint exactly.  R must be real symmetric.
     """
-    e1, e2, e3, x1, x2, x3, z1, z2 = p
-    chi = np.zeros((8, 8))
-    chi[0, 0] = e1
-    chi[1, 1] = chi[2, 2] = e2
-    chi[1, 2] = chi[2, 1] = e3
-    chi[3, 3] = 1 - 2 * e2 - e1
-    chi[4, 4] = 1 - 2 * x2 - x1
-    chi[5, 5] = chi[6, 6] = x2
-    chi[5, 6] = chi[6, 5] = x3
-    chi[7, 7] = x1
-    chi[0, 5] = chi[0, 6] = chi[5, 0] = chi[6, 0] = z1
-    chi[1, 7] = chi[2, 7] = chi[7, 1] = chi[7, 2] = z2
-    return chi
+    r = np.asarray(r, dtype=float)
+    eye = np.eye(8)
+    l = eye / 2
+    t = 8.0
+    while True:
+        for _ in range(50):
+            b = l.T @ _CLONE_TRACE @ l
+            gram = np.einsum("iab,jab->ij", b, b)
+            s = t * (l.T @ r @ l) + eye
+            for _ in range(3):
+                mu = np.linalg.solve(gram, np.einsum("iab,ab->i", b, s))
+                s -= np.einsum("i,iab->ab", mu, b)
+            dec = float(np.sum(s * s))
+            if dec < 1e-10:
+                break
+            l = l @ np.linalg.cholesky(eye + s / (1 + math.sqrt(dec)))
+            w, v = np.linalg.eigh(trace_out_clones(l @ l.T))
+            l = np.kron((v / np.sqrt(w)) @ v.T, np.eye(4)) @ l
+        else:
+            raise ArithmeticError(f"Newton centring stalled at t = {t:.3g}")
+        if 8 / t < 1e-11:
+            chi = l @ l.T
+            return float(np.sum(chi * r)), chi
+        t *= 8
 
 
-def constrained_maximize(r: np.ndarray, seed: int = 2024,
-                         n_starts: int = 32) -> tuple[float, np.ndarray]:
-    """Maximise Tr(chi R) over the symmetry-restricted CPTP family.
+def vmf_kappa_threshold() -> float:
+    """Concentration at which Gamma = -1 for vMF, by bisection on [0.05, 1].
 
-    Stage one is a multi-start Nelder-Mead over the raw eight parameters
-    with a 1e6-weighted penalty on negative Choi eigenvalues.  Stage two
-    polishes in reduced coordinates where the off-diagonal couplings are
-    eliminated analytically (their PSD-optimal value is the rank-one
-    boundary), so the reported maximiser is feasible exactly and the
-    objective there concave.  Returns (best fidelity, best Choi matrix).
+    Returns the interior end of the final bracket, within 1e-12 of the root.
     """
-    r = _hermitian_8x8(r, "merit operator")
-    rr = np.real(r)
-    rng = np.random.default_rng(seed)
-
-    def penalised(p):
-        chi = _chi_symmetric(p)
-        eig = np.linalg.eigvalsh(chi)
-        penalty = 1e6 * float(np.sum(np.minimum(eig, 0.0) ** 2))
-        return -float(np.sum(chi * rr)) + penalty
-
-    lo = np.array([0, 0, -0.5, 0, 0, -0.5, -0.6, -0.6])
-    hi = np.array([1, 0.5, 0.5, 1, 0.5, 0.5, 0.6, 0.6])
-    best = None
-    for _ in range(n_starts):
-        p0 = rng.uniform(lo, hi)
-        res = minimize(penalised, p0, method="Nelder-Mead",
-                       options=dict(fatol=1e-11, xatol=1e-9,
-                                    maxiter=2500, maxfev=4000))
-        if best is None or res.fun < best.fun:
-            best = res
-
-    blocks = symmetry_blocks(rr)
-    r1, r2, rs = blocks.block1, blocks.block2, blocks.scalars
-
-    def clamp(d):
-        d = np.maximum(d, 0.0)
-        for sl in (slice(0, 3), slice(3, 6)):
-            total = d[sl].sum()
-            if total > 1.0:
-                d[sl] /= total
-        return d
-
-    def reduced_value(d):
-        # d = (eta1, p_eta, q_eta, xi1, p_xi, q_xi); p/q are the sums and
-        # differences of the paired diagonal entries, all constrained >= 0
-        # with eta1 + p_eta + q_eta <= 1 (same for xi); couplings sit on the
-        # rank-one boundary |sqrt(2) zeta| = sqrt(diag product).
-        e1, pe, qe, x1, px, qx = d
-        val = (r1[0, 0] * e1 + r1[1, 1] * px
-               + 2 * abs(r1[0, 1]) * math.sqrt(max(e1 * px, 0.0)))
-        val += (r2[0, 0] * x1 + r2[1, 1] * pe
-                + 2 * abs(r2[0, 1]) * math.sqrt(max(x1 * pe, 0.0)))
-        val += (rs[0] * qx + rs[1] * qe
-                + rs[2] * (1 - e1 - pe - qe) + rs[3] * (1 - x1 - px - qx))
-        return val
-
-    def neg_reduced(d):
-        return -reduced_value(clamp(d.copy()))
-
-    p = best.x
-    d0 = clamp(np.array([p[0], p[1] + p[2], p[1] - p[2],
-                         p[3], p[4] + p[5], p[4] - p[5]]))
-    starts = [d0] + [rng.uniform(0.0, 0.8, 6) for _ in range(8)]
-    polished = None
-    for s in starts:
-        res = minimize(neg_reduced, s, method="Nelder-Mead",
-                       options=dict(fatol=1e-14, xatol=1e-12,
-                                    maxiter=8000, maxfev=12000))
-        if polished is None or res.fun < polished.fun:
-            polished = res
-
-    e1, pe, qe, x1, px, qx = clamp(polished.x.copy())
-    z1 = math.copysign(math.sqrt(max(e1 * px, 0.0) / 2), r1[0, 1])
-    z2 = math.copysign(math.sqrt(max(x1 * pe, 0.0) / 2), r2[0, 1])
-    chi = _chi_symmetric(np.array([
-        e1, (pe + qe) / 2, (pe - qe) / 2,
-        x1, (px + qx) / 2, (px - qx) / 2, z1, z2]))
-    return float(np.sum(chi * rr)), chi.astype(complex)
+    lo, hi = 0.05, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if gamma(moments(VonMisesFisher(kappa=mid))) + 1.0 > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Brosseau, ClonerParams, Delta, DeltaPair, DomainError,
-                      HenyeyGreenstein, MomentPair, NonHermitianError,
-                      Uniform, VonMisesFisher,
+from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
+                      DomainError, HenyeyGreenstein, MomentPair,
+                      NonHermitianError, Uniform, VonMisesFisher,
                       average_fidelity, build_merit, choi_fidelity,
                       choi_from_params, dual_certificate,
                       max_sampled_fidelity, moments, optimal_angles,
@@ -16,9 +16,8 @@ from axiclone.choi import (choi_from_isometry, partial_trace_input,
                            trace_out_clones)
 from axiclone.dist import integrate_marginal
 
-from conftest import random_distribution
-from oracles import (constrained_maximize, haar_isometry,
-                     lapack_fidelities, lapack_haar_isometry,
+from conftest import assert_primal_optimum, random_distribution
+from oracles import (haar_isometry, lapack_fidelities, lapack_haar_isometry,
                      merit_kernel_reference, row_fidelity,
                      sampled_fidelity_loop)
 
@@ -329,22 +328,27 @@ class TestSymmetryBlocks:
 
 class TestConstrainedMaximize:
     def test_uniform_reaches_uc_optimum(self):
-        r = build_merit(Uniform())
-        f, chi = constrained_maximize(r)
-        assert f == pytest.approx(5 / 6, abs=1e-7)
-        assert f <= 5 / 6 + 1e-7
-        target = choi_from_params(uc_params())
-        assert np.linalg.norm(chi - target) <= 1e-4
-        assert_cptp(chi)
+        f, chi = assert_primal_optimum(Uniform())
+        assert f == pytest.approx(5 / 6, abs=1e-10)
+        assert np.linalg.norm(chi - choi_from_params(uc_params())) <= 1e-8
 
     def test_high_concentration_reaches_boundary_optimum(self):
-        dist = VonMisesFisher(kappa=1.0)
-        m = moments(dist)
-        f_opt = average_fidelity(m, optimal_angles(m))
-        f, chi = constrained_maximize(build_merit(dist))
-        assert f == pytest.approx(f_opt, abs=1e-7)
-        assert f <= f_opt + 1e-7
-        assert_cptp(chi)
+        assert_primal_optimum(VonMisesFisher(kappa=1.0))
+
+    # At the poles, on the equator and at the peaked ensembles the optimal
+    # face is not one point, so only F and feasibility are asserted there.
+    @pytest.mark.parametrize("dist, pinned", [
+        (VonMisesFisher(kappa=5.0), True),
+        (Belt(theta1=0.5, theta2=1.2), True),
+        (VonMisesFisher(kappa=1e5), False),
+        (HenyeyGreenstein(h=-0.999999), False),
+        (Brosseau(P=0.999999, mu=0.999999), False),
+        (Delta(theta=0.0), False),
+        (Delta(theta=math.pi / 2), False),
+        (DeltaPair(theta=math.pi / 2), False),
+    ])
+    def test_reaches_optimum_in_every_regime(self, dist, pinned):
+        assert_primal_optimum(dist, pinned)
 
 
 def assert_certificate(dist):

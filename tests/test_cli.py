@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +85,11 @@ class TestParseDist:
         assert set(KIND_STRATEGIES) == set(dist_mod.KINDS)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(*KIND_STRATEGIES.values()))
-    def test_round_trip_property(self, d):
+    @given(st.one_of(*KIND_STRATEGIES.values()), st.booleans())
+    def test_round_trip_property(self, d, numpy_fields):
+        if numpy_fields:
+            d = replace(d, **{f.name: np.float64(getattr(d, f.name))
+                              for f in fields(d)})
         assert parse_dist(spec_string(d)) == d
 
     def test_new_kind_needs_no_cli_edit(self, capsys, monkeypatch):
@@ -416,7 +419,7 @@ class TestVerifyCommand:
         # a merit operator the closed form is not optimal for must exit 3
         # even when no sampled map comes near F_opt: raising R on |000>
         # moves Tr Y, raising it on |1>|S-> (no cloner weight) moves lambda_min
-        build = choi_mod.build_merit
+        merit = choi_mod._merit
         if where == "in_support":
             bump = np.zeros((8, 8))
             bump[0, 0] = 1e-6
@@ -424,8 +427,8 @@ class TestVerifyCommand:
             b = choi_mod.block_basis()[:, 4]
             bump = 0.5 * np.outer(b, b)
 
-        monkeypatch.setattr(choi_mod, "build_merit",
-                            lambda dist: build(dist) + bump)
+        monkeypatch.setattr(choi_mod, "_merit",
+                            lambda a1, a2: merit(a1, a2) + bump)
         code, out, _ = run_cli(capsys, "verify", "--dist", "uniform",
                                "--samples", "5")
         rep = json.loads(out)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 from axiclone import (Brosseau, DegenerateDenominatorError, DeltaPair,
                       InfeasibleMomentsError, MomentPair, Regime, UC_ALPHA,
@@ -13,6 +12,7 @@ from axiclone import (Brosseau, DegenerateDenominatorError, DeltaPair,
 from axiclone.dist import integrate_marginal
 
 from conftest import random_distribution, random_feasible_moments
+from oracles import vmf_kappa_threshold
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -232,19 +232,13 @@ class TestNumericOptimum:
 
 
 class TestBranchStructure:
-    def kappa_star(self):
-        def discriminant(kappa):
-            return gamma(moments(VonMisesFisher(kappa=kappa))) + 1.0
-
-        return brentq(discriminant, 0.05, 1.0, xtol=1e-12)
-
     def test_threshold_location(self):
-        assert self.kappa_star() == pytest.approx(0.3305, abs=5e-4)
+        assert vmf_kappa_threshold() == pytest.approx(0.3305, abs=5e-4)
 
     def test_no_jump_between_branches_at_threshold(self):
         # at the threshold the interior solution reaches the boundary corner,
         # so the two branch formulas agree there (one-sided limits coincide)
-        kappa = self.kappa_star()
+        kappa = vmf_kappa_threshold()
         m = moments(VonMisesFisher(kappa=kappa))
         interior = optimal_angles(MomentPair(m.a1 * (1 - 1e-12), m.a2))
         assert interior.regime is Regime.INTERIOR
@@ -253,7 +247,7 @@ class TestBranchStructure:
         assert abs(f_interior - f_boundary) <= 1e-6
 
     def test_fidelity_continuity_across_threshold(self):
-        kappa = self.kappa_star()
+        kappa = vmf_kappa_threshold()
         step = 1e-4
         f = []
         for k in (kappa - step, kappa + step):
@@ -263,7 +257,7 @@ class TestBranchStructure:
         assert abs(f[1] - f[0]) <= 5e-5
 
     def test_regime_switch_sides(self):
-        kappa = self.kappa_star()
+        kappa = vmf_kappa_threshold()
         below = optimal_angles(moments(VonMisesFisher(kappa=kappa - 1e-3)))
         above = optimal_angles(moments(VonMisesFisher(kappa=kappa + 1e-3)))
         assert below.regime is Regime.INTERIOR

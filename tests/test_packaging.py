@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_does_not_load_scipy():
@@ -13,3 +15,27 @@ def test_import_does_not_load_scipy():
          "import axiclone, sys; assert 'scipy' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_failing_property_test_does_not_abort_the_session(tmp_path):
+    # under the project's warning filters a failing Hypothesis test must be
+    # reported as one failure, and the tests after it must still run
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_always_fails(n):
+            assert False
+
+
+        def test_passes():
+            pass
+    """))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
