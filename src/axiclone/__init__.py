@@ -10,12 +10,11 @@ quantum circuit.
 
 from .dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                    HenyeyGreenstein, MomentPair, Tabulated, Uniform,
-                   VonMisesFisher, legendre_poly, load_tabulated,
-                   marginal_density, moments, quadrature_moments,
-                   spec_string, validate_moments)
+                   VonMisesFisher, load_tabulated, moments, spec_string,
+                   validate_moments)
 from .errors import (CloneError, DegenerateDenominatorError, DomainError,
                      InfeasibleMomentsError, NonHermitianError, ParseError,
-                     QuadratureError, UnsupportedKindError)
+                     UnsupportedKindError)
 from .optimal import (ClonerParams, Regime, average_fidelity,
                       fidelity_from_angles, gamma, numeric_optimum,
                       optimal_angles, pcc_params, single_copy_fidelity,

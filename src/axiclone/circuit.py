@@ -24,7 +24,6 @@ from .optimal import ClonerParams
 
 __all__ = [
     "Gate", "Circuit", "build_circuit", "gate_matrix", "circuit_unitary",
-    "hadamard_conjugator", "ch_decomposed",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -32,10 +31,7 @@ _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
 
-# Real symmetric involution A with A X A = H.
-_A = np.array([[1.0, 1.0 + _SQRT2], [1.0 + _SQRT2, -1.0]]) / math.sqrt(4 + 2 * _SQRT2)
-
-KINDS = ("Ry", "CRy", "CNOT", "CH", "A", "X")
+KINDS = ("Ry", "CRy", "CNOT", "CH", "X")
 
 
 @dataclass(frozen=True)
@@ -116,23 +112,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return _embed_controlled(_X, g.control, g.target)
     if g.kind == "CH":
         return _embed_controlled(_H, g.control, g.target)
-    if g.kind == "A":
-        return _embed_single(_A.astype(complex), g.target)
     if g.kind == "X":
         return _embed_single(_X, g.target)
     raise DomainError(f"unknown gate kind {g.kind!r}")
-
-
-def hadamard_conjugator() -> np.ndarray:
-    """The involution A (A^2 = 1) with A X A = H."""
-    return _A.copy()
-
-
-def ch_decomposed(control: int, target: int) -> np.ndarray:
-    """Controlled-Hadamard built as A . CNOT . A on the target qubit."""
-    a = gate_matrix(Gate("A", target))
-    cnot = gate_matrix(Gate("CNOT", target, control=control))
-    return a @ cnot @ a
 
 
 def build_circuit(p: ClonerParams) -> Circuit:

@@ -1,18 +1,19 @@
 """Axisymmetric qubit ensembles on the Bloch sphere and their Legendre moments.
 
-Every density-backed kind is stored through its one-dimensional marginal
-g(x) in x = cos(theta), normalised so that the integral over [-1, 1] is 1.
-The two leading Legendre moments
+Each density-backed kind is defined by its one-dimensional marginal g(x) in
+x = cos(theta), normalised so that the integral over [-1, 1] is 1; each
+class docstring gives its g.  The ring kinds (single and mirror-pair delta
+rings) are defined by their weighted latitudes instead.  The two leading
+Legendre moments
 
     a1 = E[P1(x)] = E[x],        a2 = E[P2(x)] = E[(3 x^2 - 1) / 2]
 
-fully determine the optimal symmetric 1->2 cloner for the ensemble.  Every
-built-in kind computes them in closed form (a short power series stands in
-where the closed form cancels), so ``moments`` never integrates; adaptive
-Gauss-Legendre quadrature serves only the cross-checks ``integrate_marginal``,
-``quadrature_moments`` and ``normalization_integral``.  Point-mass kinds
-(single and mirror-pair delta rings) carry no density and expose their
-moments through weighted support points.
+fully determine the optimal symmetric 1->2 cloner for the ensemble, and they
+are all this module computes.  Every parametric kind has them in closed form
+(a short power series stands in where the closed form cancels), and a table
+sums them exactly over its linear segments, so nothing here integrates
+numerically.  The densities and the adaptive quadrature that cross-check
+these moments are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,24 +23,17 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
 from .errors import (DomainError, InfeasibleMomentsError, ParseError,
-                     QuadratureError, UnsupportedKindError)
-from .quadrature import integrate
+                     UnsupportedKindError)
 
 __all__ = [
     "MomentPair", "AxisDistribution", "Uniform", "VonMisesFisher", "Brosseau",
     "HenyeyGreenstein", "Delta", "DeltaPair", "Belt", "Tabulated", "KINDS",
-    "legendre_poly", "marginal_density", "moments", "quadrature_moments",
-    "normalization_integral", "validate_moments",
-    "load_tabulated", "spec_string",
+    "moments", "validate_moments", "load_tabulated", "spec_string",
 ]
 
-LEGENDRE_MAX_DEGREE = 64
-
-# Slack absorbing quadrature round-off when checking moment feasibility.
+# Slack absorbing the round-off of the closed-form and tabulated moments
+# when checking feasibility.
 FEASIBILITY_TOL = 1e-9
 
 
@@ -48,34 +42,17 @@ class MomentPair(NamedTuple):
     a2: float
 
 
-def legendre_poly(n: int, x):
-    """Legendre polynomial P_n(x) via (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}.
-
-    Accepts scalars or arrays; degree is capped at LEGENDRE_MAX_DEGREE and
-    |x| must not exceed 1.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {n!r}")
-    if n > LEGENDRE_MAX_DEGREE:
-        raise DomainError(f"degree {n} exceeds cap {LEGENDRE_MAX_DEGREE}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
-        raise DomainError("Legendre argument outside [-1, 1]")
-    p_prev = np.ones_like(xa)
-    if n == 0:
-        return p_prev if xa.ndim else float(p_prev)
-    p = xa.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * xa * p - k * p_prev) / (k + 1), p
-    return p if xa.ndim else float(p)
+def _p2(x: float) -> float:
+    """Legendre polynomial P2(x) = (3 x^2 - 1) / 2."""
+    return (3 * x * x - 1) / 2
 
 
 def validate_moments(m, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff (a1, a2) can come from a distribution on [-1, 1].
 
     Requires |a1| <= 1, a2 <= 1 and the variance bound (2 a2 + 1)/3 >= a1^2,
-    with ``tol`` slack so that quadrature round-off does not reject boundary
-    cases such as point masses at the poles.
+    with ``tol`` slack so that round-off does not reject boundary cases such
+    as point masses at the poles.
     """
     a1, a2 = m
     if not (math.isfinite(a1) and math.isfinite(a2)):
@@ -93,19 +70,6 @@ class AxisDistribution:
     """
 
     kind: ClassVar[str] = ""
-    has_density = True
-
-    def density(self, x):
-        raise UnsupportedKindError(
-            f"{type(self).__name__} carries no density; use its moments")
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior points where the marginal is non-smooth (for quadrature)."""
-        return ()
-
-    def point_masses(self) -> list[tuple[float, float]]:
-        raise UnsupportedKindError(
-            f"{type(self).__name__} is density-backed; it has no point masses")
 
     def moment_pair(self) -> MomentPair:
         raise NotImplementedError
@@ -117,16 +81,8 @@ class Uniform(AxisDistribution):
 
     kind = "uniform"
 
-    def density(self, x):
-        return np.full_like(np.asarray(x, dtype=float), 0.5)
-
     def moment_pair(self) -> MomentPair:
         return MomentPair(0.0, 0.0)
-
-
-# Beyond this the scale 1/|kappa| nears the float spacing of cos(theta) at
-# the pole, and integrals of the vMF marginal drift past 1e-10 unnoticed.
-_VMF_MAX_QUADRATURE_KAPPA = 1e9
 
 
 @dataclass(frozen=True)
@@ -140,30 +96,6 @@ class VonMisesFisher(AxisDistribution):
     kind = "vmf"
     kappa: float = 0.0
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.kappa
-        if abs(k) < 1e-12:
-            return np.full_like(x, 0.5)
-        if k < 0:
-            k, x = -k, -x
-        # exp(k(x-1)) form stays finite for large concentrations
-        return k * np.exp(k * (x - 1.0)) / (1.0 - math.exp(-2.0 * k))
-
-    def breakpoints(self) -> tuple[float, ...]:
-        # the mass sits within ~1/|kappa| of the pole: scale points
-        # 1 - 8^j/|kappa| let quadrature see it at every concentration
-        k = abs(self.kappa)
-        if k > _VMF_MAX_QUADRATURE_KAPPA:
-            raise QuadratureError(
-                f"vMF with |kappa| = {k:g} is too peaked to integrate in cos(theta)")
-        points = []
-        step = 1.0
-        while step < k:
-            points.append(math.copysign(1.0 - step / k, self.kappa))
-            step *= 8.0
-        return tuple(points)
-
     def moment_pair(self) -> MomentPair:
         k = self.kappa
         if abs(k) < 1e-6:
@@ -173,20 +105,6 @@ class VonMisesFisher(AxisDistribution):
         # second moment from the half-integer Bessel recurrence
         a2 = 1.0 - 3.0 * a1 / k
         return MomentPair(a1, a2)
-
-
-def _stokes_quadratic(x, P: float, mu: float):
-    """1 + mu^2 - P^2 - 2 x mu + x^2 P^2, evaluated without cancellation.
-
-    With c = mu/P (|c| <= 1) it is (P x - c)^2 + (1 - P^2)(1 - c^2): both
-    terms are non-negative and bounded, so the value stays accurate to
-    round-off at the P -> 1 peak, where the naive expansion loses eleven
-    digits, and stays finite when P^2 underflows.  P = 0 forces mu = 0 and
-    the value 1.
-    """
-    x = np.asarray(x, dtype=float)
-    c = mu / P if P else 0.0
-    return (P * x - c) ** 2 + (1 - P) * (1 + P) * (1 - c) * (1 + c)
 
 
 # Below this P the closed form of the axis moments cancels and the series
@@ -222,7 +140,10 @@ class Brosseau(AxisDistribution):
     """Single-Stokes-parameter statistics of a Gaussian stochastic field.
 
     ``P`` is the degree of polarization, ``mu`` the mean normalised Stokes
-    parameter; P^2 - mu^2 >= 0.  P -> 1 concentrates onto delta(x - mu), so
+    parameter; P^2 - mu^2 >= 0.  Marginal
+
+        (1 - P^2) (1 - mu x) / (2 (1 + mu^2 - P^2 - 2 mu x + P^2 x^2)^(3/2)).
+  P -> 1 concentrates onto delta(x - mu), so
     P = 1 itself is rejected here and must be expressed as Delta.
     """
 
@@ -237,16 +158,10 @@ class Brosseau(AxisDistribution):
         if self.mu ** 2 > self.P ** 2:
             raise DomainError(f"require mu^2 <= P^2, got P={self.P}, mu={self.mu}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        P, mu = self.P, self.mu
-        quad = _stokes_quadratic(x, P, mu)
-        return (1 - P) * (1 + P) * (1 - mu * x) / (2 * quad ** 1.5)
-
     def moment_pair(self) -> MomentPair:
         # The marginal is the axis marginal of the sphere density
         # (1-P^2) / (4 pi (1 - P n.u)^2) with n_z = mu/P: its azimuthal
-        # integral gives density() exactly.  By the addition theorem
+        # integral is the marginal above.  By the addition theorem
         # a_l = P_l(mu/P) b_l, where b_l = E[P_l(t)] for t = n.u, whose
         # density is (1-P^2) / (2 (1 - P t)^2) on [-1, 1].
         P, mu = self.P, self.mu
@@ -259,16 +174,12 @@ class Brosseau(AxisDistribution):
         return MomentPair(c * b1, 0.5 * (3 * c * c - 1) * b2)
 
 
-# Beyond this the marginal's width (1 - |h|)^2 nears the float spacing of
-# cos(theta) at the pole: integrals of the HG marginal stay within 5e-11 up
-# to it, drift past 1e-10 unnoticed from about |h| = 0.99974, and stall
-# from about 0.9998.
-_HG_MAX_QUADRATURE_H = 0.9995
-
-
 @dataclass(frozen=True)
 class HenyeyGreenstein(AxisDistribution):
-    """One-parameter scattering phase function with moments a_n = h^n."""
+    """One-parameter scattering phase function with moments a_n = h^n.
+
+    Marginal (1 - h^2) / (2 (1 + h^2 - 2 h x)^(3/2)).
+    """
 
     kind = "hg"
     h: float = 0.0
@@ -276,21 +187,6 @@ class HenyeyGreenstein(AxisDistribution):
     def __post_init__(self):
         if not -1.0 < self.h < 1.0:
             raise DomainError(f"anisotropy must satisfy |h| < 1, got {self.h}")
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        h = self.h
-        if h < 0:
-            h, x = -h, -x
-        # 1 + h^2 - 2 h x written without its cancellation at the pole,
-        # where it is as small as (1 - h)^2
-        return 0.5 * (1 - h) * (1 + h) / ((1 - h) ** 2 + 2 * h * (1 - x)) ** 1.5
-
-    def breakpoints(self) -> tuple[float, ...]:
-        if abs(self.h) > _HG_MAX_QUADRATURE_H:
-            raise QuadratureError(
-                f"HG with |h| = {abs(self.h):g} is too peaked to integrate in cos(theta)")
-        return ()
 
     def moment_pair(self) -> MomentPair:
         return MomentPair(self.h, self.h * self.h)
@@ -308,17 +204,12 @@ class Delta(AxisDistribution):
     kind = "delta"
     theta: float = 0.0
 
-    has_density = False
-
     def __post_init__(self):
         _check_polar(self.theta, "theta")
 
-    def point_masses(self) -> list[tuple[float, float]]:
-        return [(math.cos(self.theta), 1.0)]
-
     def moment_pair(self) -> MomentPair:
         c = math.cos(self.theta)
-        return MomentPair(c, legendre_poly(2, c))
+        return MomentPair(c, _p2(c))
 
 
 @dataclass(frozen=True)
@@ -328,23 +219,21 @@ class DeltaPair(AxisDistribution):
     kind = "deltapair"
     theta: float = 0.0
 
-    has_density = False
-
     def __post_init__(self):
         _check_polar(self.theta, "theta")
 
-    def point_masses(self) -> list[tuple[float, float]]:
-        c = math.cos(self.theta)
-        return [(c, 0.5), (-c, 0.5)]
-
     def moment_pair(self) -> MomentPair:
         # P1 cancels between the mirror rings, P2 is even
-        return MomentPair(0.0, legendre_poly(2, math.cos(self.theta)))
+        return MomentPair(0.0, _p2(math.cos(self.theta)))
 
 
 @dataclass(frozen=True)
 class Belt(AxisDistribution):
-    """States uniform on the band between latitudes theta1 < theta2."""
+    """States uniform on the band between latitudes theta1 < theta2.
+
+    Marginal 1 / (cos theta1 - cos theta2) for cos theta2 <= x <= cos theta1,
+    0 elsewhere.
+    """
 
     kind = "belt"
     theta1: float = 0.0
@@ -355,16 +244,6 @@ class Belt(AxisDistribution):
         _check_polar(self.theta2, "theta2")
         if not self.theta1 < self.theta2:
             raise DomainError("require theta1 < theta2")
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        hi = math.cos(self.theta1)
-        lo = math.cos(self.theta2)
-        inside = (x >= lo) & (x <= hi)
-        return np.where(inside, 1.0 / (hi - lo), 0.0)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (math.cos(self.theta2), math.cos(self.theta1))
 
     def moment_pair(self) -> MomentPair:
         hi = math.cos(self.theta1)
@@ -377,7 +256,10 @@ class Belt(AxisDistribution):
 
 @dataclass(frozen=True)
 class Tabulated(AxisDistribution):
-    """Piecewise-linear density through samples (x_i, g_i), renormalised."""
+    """Piecewise-linear marginal through samples (x_i, g_i), renormalised.
+
+    g is linear between neighbouring samples and 0 outside [x_0, x_n].
+    """
 
     kind = "table"
     xs: tuple[float, ...] = ()
@@ -385,62 +267,44 @@ class Tabulated(AxisDistribution):
     source: str | None = None
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        gs = np.asarray(self.gs, dtype=float)
-        if xs.size < 2 or xs.size != gs.size:
+        xs = tuple(float(v) for v in self.xs)
+        gs = tuple(float(v) for v in self.gs)
+        if len(xs) < 2 or len(xs) != len(gs):
             raise DomainError("tabulated density needs >= 2 matched samples")
-        if np.any(np.abs(xs) > 1.0):
+        if not all(map(math.isfinite, xs + gs)):
+            raise DomainError("tabulated samples must be finite")
+        if any(abs(x) > 1.0 for x in xs):
             raise DomainError("tabulated abscissae must lie in [-1, 1]")
-        if np.any(np.diff(xs) <= 0):
+        if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("tabulated abscissae must be strictly increasing")
-        if np.any(gs < 0):
+        if any(g < 0 for g in gs):
             raise DomainError("tabulated density values must be non-negative")
-        raw = float(np.trapezoid(gs, xs))
-        if raw <= 0:
+        # trapezoid integral of g / max(g): it cannot overflow, so the
+        # renormalised table keeps the shape of any finite input
+        top = max(gs)
+        if top > 0:
+            gs = tuple(g / top for g in gs)
+        area = sum((b - a) * (ga + gb) / 2
+                   for a, b, ga, gb in zip(xs, xs[1:], gs, gs[1:]))
+        if not area > 0:
             raise DomainError("tabulated density integrates to zero")
-        if abs(raw - 1.0) > 1e-3:
+        if abs(top * area - 1.0) > 1e-3:
             warnings.warn(
-                f"tabulated density integrates to {raw:.6g}; renormalising",
+                f"tabulated density integrates to {top * area:.6g}; renormalising",
                 stacklevel=2)
-        object.__setattr__(self, "xs", tuple(float(v) for v in xs))
-        object.__setattr__(self, "gs", tuple(float(v) for v in gs / raw))
-
-    def density(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.gs,
-                         left=0.0, right=0.0)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.xs
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "gs", tuple(g / area for g in gs))
 
     def moment_pair(self) -> MomentPair:
-        # linear density times P2 is cubic, so per-segment Gauss is exact
-        nodes, wts = leggauss(8)
-        xs = np.asarray(self.xs)
+        # g is linear on each segment, so g x and g P2 are at most cubic
+        # there and Simpson's rule integrates them exactly
         a1 = a2 = 0.0
-        for i in range(xs.size - 1):
-            lo, hi = xs[i], xs[i + 1]
-            half = 0.5 * (hi - lo)
-            pts = 0.5 * (hi + lo) + half * nodes
-            g = self.density(pts)
-            a1 += half * float(np.dot(wts, g * pts))
-            a2 += half * float(np.dot(wts, g * legendre_poly(2, pts)))
+        for a, b, ga, gb in zip(self.xs, self.xs[1:], self.gs, self.gs[1:]):
+            mid, gm = (a + b) / 2, (ga + gb) / 2
+            w = (b - a) / 6
+            a1 += w * (ga * a + 4 * gm * mid + gb * b)
+            a2 += w * (ga * _p2(a) + 4 * gm * _p2(mid) + gb * _p2(b))
         return MomentPair(a1, a2)
-
-
-def marginal_density(dist: AxisDistribution, x):
-    """Marginal g(x) in x = cos(theta), normalised to unit integral.
-
-    Point-mass kinds raise UnsupportedKindError; consumers must use the
-    moment interface for those.
-    """
-    if not dist.has_density:
-        raise UnsupportedKindError(
-            f"{type(dist).__name__} carries no density; use moments()")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
-        raise DomainError("cos(theta) argument outside [-1, 1]")
-    out = dist.density(xa)
-    return out if xa.ndim else float(out)
 
 
 def moments(dist: AxisDistribution) -> MomentPair:
@@ -450,52 +314,6 @@ def moments(dist: AxisDistribution) -> MomentPair:
         raise InfeasibleMomentsError(
             f"moments {m} violate the second-moment bound (corrupt input?)")
     return m
-
-
-def integration_segments(dist: AxisDistribution) -> list[tuple[float, float]]:
-    """[-1, 1] split at the marginal's non-smooth points."""
-    cuts = sorted(x for x in dist.breakpoints() if -1.0 < x < 1.0)
-    edges = [-1.0] + cuts + [1.0]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
-            if edges[i + 1] > edges[i]]
-
-
-def integrate_marginal(dist: AxisDistribution, f, tol: float = 1e-10):
-    """Integrate a (possibly array-valued) function over the marginal support."""
-    parts = [integrate(f, a, b, tol=tol) for a, b in integration_segments(dist)]
-    return sum(parts[1:], start=parts[0])
-
-
-def quadrature_moments(dist: AxisDistribution, tol: float = 1e-10) -> MomentPair:
-    """(a1, a2) by direct integration of the marginal; cross-check path.
-
-    Peaked densities are resolved through their ``breakpoints()``, which
-    covers vMF up to |kappa| = 1e9 and Henyey-Greenstein up to |h| = 0.9995;
-    beyond those limits they raise QuadratureError.
-    """
-    if not dist.has_density:
-        masses = dist.point_masses()
-        a1 = sum(w * x for x, w in masses)
-        a2 = sum(w * legendre_poly(2, x) for x, w in masses)
-        return MomentPair(a1, a2)
-
-    def f(x):
-        g = dist.density(x)
-        return np.stack([g * x, g * legendre_poly(2, x)], axis=-1)
-
-    a1, a2 = integrate_marginal(dist, f, tol=tol)
-    return MomentPair(float(a1), float(a2))
-
-
-def normalization_integral(dist: AxisDistribution, tol: float = 1e-10) -> float:
-    """Total mass of the marginal (or of the point masses); should be 1.
-
-    Same reach as :func:`quadrature_moments`: vMF with |kappa| > 1e9 and
-    Henyey-Greenstein with |h| > 0.9995 raise QuadratureError.
-    """
-    if not dist.has_density:
-        return float(sum(w for _, w in dist.point_masses()))
-    return float(integrate_marginal(dist, lambda x: dist.density(x), tol=tol))
 
 
 # spec name -> class of every parametric kind; Tabulated is written

@@ -13,10 +13,6 @@ class UnsupportedKindError(CloneError, TypeError):
     """The distribution kind does not support the requested operation."""
 
 
-class QuadratureError(CloneError, ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class InfeasibleMomentsError(CloneError, ValueError):
     """A Legendre moment pair violates the second-moment feasibility bound."""
 

@@ -1,28 +1,278 @@
 """Independent references for the tests; numpy only.
 
-The primal solver maximises Tr(chi R) over every CPTP map with a log-det
-barrier (Audenaert & De Moor, PRA 65, 030302 (2002), for channel
-optimisation as an SDP), reading nothing of the closed form, so its optimum
-checks the analytic cloner from the primal side, as the dual certificate
-checks it from the other.  The Haar loop is the one-sample-at-a-time sweep
-the batched :func:`axiclone.max_sampled_fidelity` must reproduce exactly:
-row k of one ``default_rng(seed)`` stream, one Gram-Schmidt step,
-diag(R) > 0, per environment, written out on 1-D arrays, so sample 0 is
-exactly ``random_cptp``.  The LAPACK QR and complex-contraction path it
-replaced is kept as an independent reference, equal to rounding.  The merit
-kernel, the merit integrand built from explicit pure states and summed over
-a 16-point azimuth grid, is the independent reference for the closed-form
-:func:`axiclone.build_merit`: equal at each latitude and, integrated against
-a density, equal to quadrature accuracy.  The vMF regime threshold is found
-by bisection on Gamma.
+The package computes every Legendre moment in closed form.  The densities
+below, one per kind written out from the formula in its docstring, and the
+adaptive Gauss-Legendre quadrature that integrates them are the independent
+path those moments, the normalisation, the merit operator and the average
+fidelity are checked against.  The primal solver maximises Tr(chi R) over
+every CPTP map with a log-det barrier (Audenaert & De Moor, PRA 65, 030302
+(2002), for channel optimisation as an SDP), reading nothing of the closed
+form, so its optimum checks the analytic cloner from the primal side, as the
+dual certificate checks it from the other.  The Haar loop is the
+one-sample-at-a-time sweep the batched :func:`axiclone.max_sampled_fidelity`
+must reproduce exactly: row k of one ``default_rng(seed)`` stream, one
+Gram-Schmidt step, diag(R) > 0, per environment, written out on 1-D arrays,
+so sample 0 is exactly ``random_cptp``.  The LAPACK QR and
+complex-contraction path it replaced is kept as an independent reference,
+equal to rounding.  The merit kernel, the merit integrand built from
+explicit pure states and summed over a 16-point azimuth grid, is the
+independent reference for the closed-form :func:`axiclone.build_merit`:
+equal at each latitude and, integrated against a density, equal to
+quadrature accuracy.  The vMF regime threshold is found by bisection on
+Gamma.
 """
 
+import heapq
+import itertools
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from axiclone import VonMisesFisher, gamma, moments
+from axiclone import (DomainError, MomentPair, UnsupportedKindError,
+                      VonMisesFisher, gamma, moments)
 from axiclone.choi import trace_out_clones
+
+
+class QuadratureError(ArithmeticError):
+    """Adaptive quadrature could not reach the requested tolerance."""
+
+
+# Adaptive Gauss-Legendre quadrature on finite intervals.  The base rule is
+# 64-node Gauss-Legendre.  Each interval's value is the sum of its two
+# half-interval estimates and its error is the difference from the parent
+# estimate; the interval with the largest error is bisected until the global
+# error estimate meets the absolute tolerance.  Intervals are never split
+# more than ``max_depth`` times, and an interval whose residual sits at
+# double-precision noise is accepted as converged.  Integrands may be scalar
+# or array valued (the error is then the entrywise max-abs).
+MAX_DEPTH = 20
+MAX_SPLITS = 20_000
+
+# Residuals below this relative level are round-off, not truncation.
+NOISE_FLOOR = 5e-14
+
+_NODES, _WEIGHTS = leggauss(64)
+
+
+def fixed_rule(f, a: float, b: float):
+    """One 64-node Gauss-Legendre pass over [a, b].
+
+    ``f`` receives an array of abscissae and must return an array whose
+    leading axis matches; trailing axes are integrated elementwise.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = np.asarray(f(mid + half * _NODES))
+    return half * np.tensordot(_WEIGHTS, vals, axes=(0, 0))
+
+
+def _evaluate(f, a, b):
+    """Refined estimate over [a, b] plus its error against the coarse pass."""
+    whole = fixed_rule(f, a, b)
+    mid = 0.5 * (a + b)
+    value = fixed_rule(f, a, mid) + fixed_rule(f, mid, b)
+    err = float(np.max(np.abs(value - whole)))
+    if err <= NOISE_FLOOR * max(float(np.max(np.abs(value))), 1.0):
+        err = 0.0
+    return value, err
+
+
+def integrate(f, a: float, b: float, tol: float = 1e-10,
+              max_depth: int = MAX_DEPTH):
+    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+
+    Raises QuadratureError when the error estimate cannot be brought under
+    ``tol`` within the depth cap.
+    """
+    if b <= a:
+        raise QuadratureError(f"empty or reversed interval [{a}, {b}]")
+    counter = itertools.count()  # heap tie-break; values may be arrays
+    value, err = _evaluate(f, a, b)
+    heap = [(-err, next(counter), 0, a, b)]
+    values = {heap[0][1]: value}
+    total_err = err
+
+    for _ in range(MAX_SPLITS):
+        if total_err <= tol:
+            break
+        neg_err, key, depth, lo, hi = heapq.heappop(heap)
+        if -neg_err <= 0.0 or depth >= max_depth:
+            raise QuadratureError(
+                f"quadrature stalled on [{lo:.6g}, {hi:.6g}]: "
+                f"residual {-neg_err:.3e} at depth {depth}, total {total_err:.3e} > {tol:.3e}")
+        del values[key]
+        total_err += neg_err
+        mid = 0.5 * (lo + hi)
+        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
+            sub_val, sub_err = _evaluate(f, sub_lo, sub_hi)
+            sub_key = next(counter)
+            values[sub_key] = sub_val
+            heapq.heappush(heap, (-sub_err, sub_key, depth + 1, sub_lo, sub_hi))
+            total_err += sub_err
+    else:
+        raise QuadratureError(
+            f"quadrature exceeded {MAX_SPLITS} refinements on [{a}, {b}]")
+
+    out = None
+    for val in values.values():
+        out = val if out is None else out + val
+    return out
+
+
+def _stokes_quadratic(x, P: float, mu: float):
+    """1 + mu^2 - P^2 - 2 x mu + x^2 P^2, evaluated without cancellation.
+
+    With c = mu/P (|c| <= 1) it is (P x - c)^2 + (1 - P^2)(1 - c^2): both
+    terms are non-negative and bounded, so the value stays accurate to
+    round-off at the P -> 1 peak, where the naive expansion loses eleven
+    digits, and stays finite when P^2 underflows.  P = 0 forces mu = 0 and
+    the value 1.
+    """
+    c = mu / P if P else 0.0
+    return (P * x - c) ** 2 + (1 - P) * (1 + P) * (1 - c) * (1 + c)
+
+
+def density(dist, x) -> np.ndarray:
+    """Marginal g(x) in x = cos(theta) of a density-backed kind, on arrays.
+
+    Each branch is the formula of the kind's docstring, written so that it
+    stays finite and accurate at the concentrated end of its domain.  The
+    ring kinds carry no density and raise UnsupportedKindError.
+    """
+    x = np.asarray(x, dtype=float)
+    kind = dist.kind
+    if kind == "uniform":
+        return np.full_like(x, 0.5)
+    if kind == "vmf":
+        k = dist.kappa
+        if abs(k) < 1e-12:
+            return np.full_like(x, 0.5)
+        if k < 0:
+            k, x = -k, -x
+        # exp(k(x-1)) form stays finite for large concentrations
+        return k * np.exp(k * (x - 1.0)) / (1.0 - math.exp(-2.0 * k))
+    if kind == "brosseau":
+        P, mu = dist.P, dist.mu
+        quad = _stokes_quadratic(x, P, mu)
+        return (1 - P) * (1 + P) * (1 - mu * x) / (2 * quad ** 1.5)
+    if kind == "hg":
+        h = dist.h
+        if h < 0:
+            h, x = -h, -x
+        # 1 + h^2 - 2 h x written without its cancellation at the pole,
+        # where it is as small as (1 - h)^2
+        return 0.5 * (1 - h) * (1 + h) / ((1 - h) ** 2 + 2 * h * (1 - x)) ** 1.5
+    if kind == "belt":
+        hi = math.cos(dist.theta1)
+        lo = math.cos(dist.theta2)
+        return np.where((x >= lo) & (x <= hi), 1.0 / (hi - lo), 0.0)
+    if kind == "table":
+        return np.interp(x, dist.xs, dist.gs, left=0.0, right=0.0)
+    raise UnsupportedKindError(f"{type(dist).__name__} carries no density; use its moments")
+
+
+# Beyond this the scale 1/|kappa| nears the float spacing of cos(theta) at
+# the pole, and integrals of the vMF marginal drift past 1e-10 unnoticed.
+_VMF_MAX_QUADRATURE_KAPPA = 1e9
+# Beyond this the marginal's width (1 - |h|)^2 nears the float spacing of
+# cos(theta) at the pole: integrals of the HG marginal stay within 5e-11 up
+# to it, drift past 1e-10 unnoticed from about |h| = 0.99974, and stall
+# from about 0.9998.
+_HG_MAX_QUADRATURE_H = 0.9995
+
+
+def cuts(dist) -> tuple[float, ...]:
+    """Interior points where quadrature of the marginal must split [-1, 1].
+
+    The non-smooth points of a belt or a table, and for vMF the scale
+    points 1 - 8^j/|kappa| within which its mass sits.  vMF and HG too
+    peaked to resolve in cos(theta) raise QuadratureError.
+    """
+    kind = dist.kind
+    if kind == "vmf":
+        k = abs(dist.kappa)
+        if k > _VMF_MAX_QUADRATURE_KAPPA:
+            raise QuadratureError(
+                f"vMF with |kappa| = {k:g} is too peaked to integrate in cos(theta)")
+        points = []
+        step = 1.0
+        while step < k:
+            points.append(math.copysign(1.0 - step / k, dist.kappa))
+            step *= 8.0
+        return tuple(points)
+    if kind == "hg" and abs(dist.h) > _HG_MAX_QUADRATURE_H:
+        raise QuadratureError(
+            f"HG with |h| = {abs(dist.h):g} is too peaked to integrate in cos(theta)")
+    if kind == "belt":
+        return (math.cos(dist.theta2), math.cos(dist.theta1))
+    if kind == "table":
+        return dist.xs
+    return ()
+
+
+def point_masses(dist) -> list[tuple[float, float]] | None:
+    """(x, weight) of a ring kind's latitudes; None for a density-backed kind."""
+    if dist.kind == "delta":
+        return [(math.cos(dist.theta), 1.0)]
+    if dist.kind == "deltapair":
+        c = math.cos(dist.theta)
+        return [(c, 0.5), (-c, 0.5)]
+    return None
+
+
+def marginal_density(dist, x):
+    """:func:`density` with |x| <= 1 checked; a scalar for a scalar x."""
+    xa = np.asarray(x, dtype=float)
+    if np.any(np.abs(xa) > 1.0):
+        raise DomainError("cos(theta) argument outside [-1, 1]")
+    out = density(dist, xa)
+    return out if xa.ndim else float(out)
+
+
+def integration_segments(dist) -> list[tuple[float, float]]:
+    """[-1, 1] split at the marginal's cuts."""
+    inner = sorted(x for x in cuts(dist) if -1.0 < x < 1.0)
+    edges = [-1.0] + inner + [1.0]
+    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
+            if edges[i + 1] > edges[i]]
+
+
+def integrate_marginal(dist, f, tol: float = 1e-10):
+    """Integrate a (possibly array-valued) function over the marginal support."""
+    parts = [integrate(f, a, b, tol=tol) for a, b in integration_segments(dist)]
+    return sum(parts[1:], start=parts[0])
+
+
+def quadrature_moments(dist, tol: float = 1e-10) -> MomentPair:
+    """(a1, a2) by direct integration of the marginal, or over the rings.
+
+    Peaked densities are resolved through their :func:`cuts`, which covers
+    vMF up to |kappa| = 1e9 and Henyey-Greenstein up to |h| = 0.9995;
+    beyond those limits they raise QuadratureError.
+    """
+    masses = point_masses(dist)
+    if masses is not None:
+        return MomentPair(sum(w * x for x, w in masses),
+                          sum(w * (3 * x * x - 1) / 2 for x, w in masses))
+
+    def f(x):
+        g = density(dist, x)
+        return np.stack([g * x, g * (3 * x * x - 1) / 2], axis=-1)
+
+    a1, a2 = integrate_marginal(dist, f, tol=tol)
+    return MomentPair(float(a1), float(a2))
+
+
+def normalization_integral(dist, tol: float = 1e-10) -> float:
+    """Total mass of the marginal (or of the rings); should be 1.
+
+    Same reach as :func:`quadrature_moments`.
+    """
+    masses = point_masses(dist)
+    if masses is not None:
+        return float(sum(w for _, w in masses))
+    return float(integrate_marginal(dist, lambda x: density(dist, x), tol=tol))
 
 
 def merit_kernel_reference(x: np.ndarray) -> np.ndarray:

@@ -15,11 +15,11 @@ from axiclone import (Brosseau, Circuit, ClonerParams, Delta, DeltaPair,
                       choi_fidelity, choi_from_params, circuit_unitary,
                       clone_fidelity_sim, clone_isometry, dual_certificate,
                       gamma, max_sampled_fidelity, moments, optimal_angles,
-                      pcc_params, quadrature_moments, single_copy_fidelity)
-from axiclone.dist import integrate_marginal
+                      pcc_params, single_copy_fidelity)
 
 from conftest import assert_primal_optimum
-from oracles import vmf_kappa_threshold
+from oracles import (density, integrate_marginal, quadrature_moments,
+                     vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,7 +57,7 @@ def test_criterion_01_uc_reduction():
     def integrand(x):
         thetas = np.arccos(np.clip(x, -1, 1))
         vals = np.array([single_copy_fidelity(float(t), p) for t in thetas])
-        return dist.density(x) * vals
+        return density(dist, x) * vals
 
     f_quadrature = float(integrate_marginal(dist, integrand, tol=1e-11))
     f_simulated = clone_fidelity_sim(PureQubit(1.1, 0.3), p, 1)

@@ -14,10 +14,9 @@ from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
 from axiclone import choi
 from axiclone.choi import (choi_from_isometry, partial_trace_input,
                            trace_out_clones)
-from axiclone.dist import integrate_marginal
-
 from conftest import assert_primal_optimum, random_distribution
-from oracles import (haar_isometry, lapack_fidelities, lapack_haar_isometry,
+from oracles import (density, haar_isometry, integrate_marginal,
+                     lapack_fidelities, lapack_haar_isometry,
                      merit_kernel_reference, row_fidelity,
                      sampled_fidelity_loop)
 
@@ -89,7 +88,7 @@ class TestMeritOperator:
         for _ in range(8):
             dist = random_distribution(rng, density_only=True)
             want = integrate_marginal(
-                dist, lambda x: dist.density(x)[:, None, None]
+                dist, lambda x: density(dist, x)[:, None, None]
                 * merit_kernel_reference(x), tol=1e-11)
             assert np.abs(build_merit(dist) - want).max() <= 1e-10
 

@@ -204,6 +204,14 @@ class TestParamsCommand:
         assert code == 2
         assert "numeric error" in err
 
+    @pytest.mark.parametrize("row", ["0.0,nan", "0.0,inf", "nan,0.5"])
+    def test_non_finite_table_is_numeric_error(self, capsys, tmp_path, row):
+        path = tmp_path / "table.csv"
+        path.write_text(f"-1.0,0.5\n{row}\n1.0,0.5\n")
+        code, out, err = run_cli(capsys, "params", "--dist", f"table:{path}")
+        assert (code, out) == (2, "")
+        assert err == "numeric error: tabulated samples must be finite\n"
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_table_is_parse_error(self, capsys, tmp_path, case):
         path = tmp_path / "table.csv"

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import axiclone.dist as dist_mod
-import axiclone.quadrature as quadrature_mod
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
-                      HenyeyGreenstein, QuadratureError, Tabulated, Uniform, UnsupportedKindError,
-                      VonMisesFisher, legendre_poly, load_tabulated,
-                      marginal_density, moments, quadrature_moments,
-                      validate_moments)
-from axiclone.dist import normalization_integral
+                      HenyeyGreenstein, Tabulated, Uniform, UnsupportedKindError,
+                      VonMisesFisher, load_tabulated, moments, validate_moments)
 
 from conftest import random_distribution
+from oracles import (QuadratureError, marginal_density, normalization_integral,
+                     quadrature_moments)
 
 
 def simpson_brosseau_moments(P, mu, npts=1_000_001):
@@ -32,35 +30,12 @@ def simpson_brosseau_moments(P, mu, npts=1_000_001):
 
 
 class TestLegendre:
-    def test_degree_zero_is_one(self):
-        assert legendre_poly(0, 0.37) == 1.0
-
-    def test_degree_one_is_identity(self):
-        assert legendre_poly(1, 0.5) == 0.5
-
     def test_degree_two(self):
-        assert legendre_poly(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-
-    def test_matches_numpy_legendre_series(self):
+        assert dist_mod._p2(0.5) == pytest.approx(-0.125, abs=1e-15)
         xs = np.linspace(-1, 1, 41)
-        for n in range(11):
-            coeffs = np.zeros(n + 1)
-            coeffs[n] = 1.0
-            expected = np.polynomial.legendre.legval(xs, coeffs)
-            assert np.allclose(legendre_poly(n, xs), expected, atol=1e-13)
-
-    def test_bounded_by_one(self):
-        xs = np.linspace(-1, 1, 101)
-        for n in (3, 7, 20, 64):
-            assert np.all(np.abs(legendre_poly(n, xs)) <= 1 + 1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            legendre_poly(2, 1.0001)
-        with pytest.raises(DomainError):
-            legendre_poly(65, 0.0)
-        with pytest.raises(DomainError):
-            legendre_poly(-1, 0.0)
+        expected = np.polynomial.legendre.legval(xs, [0.0, 0.0, 1.0])
+        got = [dist_mod._p2(float(x)) for x in xs]
+        assert np.allclose(got, expected, rtol=0, atol=1e-15)
 
 
 class TestMarginalDensity:
@@ -307,21 +282,6 @@ class TestBrosseauMoments:
         assert abs(m.a1) <= abs(mu) * (1 + 1e-15) + 1e-300
 
 
-def test_moments_never_integrate(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("moments() called adaptive quadrature")
-
-    monkeypatch.setattr(dist_mod, "integrate", refuse)
-    monkeypatch.setattr(quadrature_mod, "integrate", refuse)
-    kinds = [Uniform(), VonMisesFisher(kappa=2.0), Brosseau(P=0.6, mu=0.2),
-             Brosseau(P=0.999999, mu=0.999999), HenyeyGreenstein(h=0.4),
-             Delta(theta=0.7), DeltaPair(theta=1.1),
-             Belt(theta1=0.3, theta2=2.0),
-             Tabulated(xs=(-1.0, 0.0, 1.0), gs=(0.25, 0.5, 0.75))]
-    for d in kinds:
-        assert validate_moments(moments(d))
-
-
 class TestValidateMoments:
     def test_uniform_feasible(self):
         assert validate_moments((0.0, 0.0)) is True
@@ -379,6 +339,15 @@ class TestTabulated:
         quad = quadrature_moments(t)
         assert closed.a1 == pytest.approx(quad.a1, abs=1e-9)
         assert closed.a2 == pytest.approx(quad.a2, abs=1e-9)
+
+    def test_overflowing_trapezoid_keeps_the_shape(self):
+        # the raw trapezoid sum overflows; the renormalised g is (1 + x) / 2
+        # up to 5e-309
+        with pytest.warns(UserWarning, match="renormalising"):
+            t = Tabulated(xs=(-1.0, 1.0), gs=(0.5, 1e308))
+        a1, a2 = moments(t)
+        assert a1 == pytest.approx(1 / 3, abs=1e-15)
+        assert a2 == pytest.approx(0.0, abs=1e-15)
 
     def test_requires_increasing_abscissae(self):
         with pytest.raises(DomainError):

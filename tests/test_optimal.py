@@ -9,10 +9,8 @@ from axiclone import (Brosseau, DegenerateDenominatorError, DeltaPair,
                       VonMisesFisher, average_fidelity, fidelity_from_angles,
                       gamma, moments, numeric_optimum, optimal_angles,
                       pcc_params, single_copy_fidelity, uc_params)
-from axiclone.dist import integrate_marginal
-
 from conftest import random_distribution, random_feasible_moments
-from oracles import vmf_kappa_threshold
+from oracles import density, integrate_marginal, vmf_kappa_threshold
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -174,7 +172,7 @@ class TestAverageFidelity:
             def integrand(x):
                 thetas = np.arccos(np.clip(x, -1, 1))
                 vals = np.array([single_copy_fidelity(float(t), p) for t in thetas])
-                return dist.density(x) * vals
+                return density(dist, x) * vals
 
             direct = float(integrate_marginal(dist, integrand, tol=1e-11))
             assert average_fidelity(m, p) == pytest.approx(direct, abs=1e-9)

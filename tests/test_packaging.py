@@ -17,6 +17,31 @@ def test_import_does_not_load_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_moments_load_no_polynomial_module_or_integrator():
+    # every kind's moments are closed forms or exact sums over a table's
+    # segments: none needs numpy.polynomial, and no quadrature module ships
+    code = textwrap.dedent("""
+        import importlib.util, sys
+        from axiclone.dist import (KINDS, Belt, Brosseau, Delta, DeltaPair,
+                                   HenyeyGreenstein, Tabulated, Uniform,
+                                   VonMisesFisher, moments)
+        ensembles = [Uniform(), VonMisesFisher(kappa=2.0),
+                     Brosseau(P=0.6, mu=0.2), Brosseau(P=0.999999, mu=0.999999),
+                     HenyeyGreenstein(h=0.4), Delta(theta=0.7),
+                     DeltaPair(theta=1.1), Belt(theta1=0.3, theta2=2.0),
+                     Tabulated(xs=(-1.0, 0.0, 1.0), gs=(0.25, 0.5, 0.75))]
+        assert set(KINDS.values()) <= {type(d) for d in ensembles}
+        for d in ensembles:
+            moments(d)
+        assert "numpy.polynomial" not in sys.modules, "numpy.polynomial loaded"
+        assert importlib.util.find_spec("axiclone.quadrature") is None
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_failing_property_test_does_not_abort_the_session(tmp_path):
     # under the project's warning filters a failing Hypothesis test must be
     # reported as one failure, and the tests after it must still run
