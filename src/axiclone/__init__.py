@@ -12,18 +12,16 @@ from .dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                    HenyeyGreenstein, MomentPair, Tabulated, Uniform,
                    VonMisesFisher, load_tabulated, moments, spec_string,
                    validate_moments)
-from .errors import (CloneError, DegenerateDenominatorError, DomainError,
-                     InfeasibleMomentsError, NonHermitianError, ParseError,
-                     UnsupportedKindError)
+from .errors import (CloneError, DomainError, InfeasibleMomentsError,
+                     NonHermitianError, ParseError, UnsupportedKindError)
 from .optimal import (ClonerParams, Regime, average_fidelity,
-                      fidelity_from_angles, gamma, numeric_optimum,
-                      optimal_angles, pcc_params, single_copy_fidelity,
-                      uc_params, UC_ALPHA)
+                      fidelity_from_angles, numeric_optimum, optimal_angles,
+                      pcc_params, single_copy_fidelity, uc_params, UC_ALPHA)
 from .qsim import (PureQubit, apply_clone, clone_fidelity_sim,
                    clone_isometry, partial_trace)
 from .choi import (build_merit, choi_fidelity, choi_from_params,
                    dual_certificate, max_sampled_fidelity,
-                   optimality_report, random_cptp, symmetry_blocks)
+                   optimality_report, random_cptp)
 from .circuit import (Circuit, Gate, build_circuit, circuit_unitary,
                       gate_matrix)
 

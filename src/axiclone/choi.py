@@ -29,7 +29,6 @@ assumption-free one is a sweep over Haar-random CPTP maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +39,9 @@ from .qsim import clone_isometry
 
 __all__ = [
     "build_merit", "choi_from_params", "choi_fidelity", "random_cptp",
-    "symmetry_blocks", "SymmetryBlocks", "dual_certificate",
-    "max_sampled_fidelity", "optimality_report", "block_basis",
-    "choi_from_isometry", "partial_trace_input", "trace_out_clones",
+    "dual_certificate", "max_sampled_fidelity", "optimality_report",
+    "choi_from_isometry", "trace_out_clones",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 _I2 = np.eye(2)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -98,11 +94,6 @@ def choi_from_params(p: ClonerParams) -> np.ndarray:
 def trace_out_clones(chi: np.ndarray) -> np.ndarray:
     """Partial trace over both clone factors; identity for a CPTP Choi."""
     return np.einsum("imjm->ij", np.asarray(chi).reshape(2, 4, 2, 4))
-
-
-def partial_trace_input(chi: np.ndarray) -> np.ndarray:
-    """Partial trace over the input factor (the average channel output)."""
-    return np.einsum("imin->mn", np.asarray(chi).reshape(2, 4, 2, 4))
 
 
 def _hermitian_8x8(m, name: str, tol: float = 1e-10) -> np.ndarray:
@@ -238,59 +229,6 @@ def dual_certificate(r: np.ndarray, params: ClonerParams) -> tuple[float, float]
     y = 0.5 * (y + y.conj().T)
     lam = float(np.linalg.eigvalsh(np.kron(y, np.eye(4)) - r)[0])
     return float(np.trace(y).real), lam
-
-
-_BLOCK_PAIRS = ((0, 1), (2, 3))
-
-
-def block_basis() -> np.ndarray:
-    """Orthonormal basis adapted to the rotation/swap symmetry.
-
-    Columns: |000>, |1>|S+>, |111>, |0>|S+>, |1>|S->, |0>|S->, |011>, |100>,
-    where |S+-> = (|01> +- |10>)/sqrt(2) lives on the clone pair.  Symmetric
-    operators are block diagonal here: two 2x2 blocks on the first four
-    vectors and four scalars on the rest.
-    """
-    e = np.eye(8)
-    b = np.zeros((8, 8))
-    b[:, 0] = e[:, 0b000]
-    b[:, 1] = (e[:, 0b101] + e[:, 0b110]) / _SQRT2
-    b[:, 2] = e[:, 0b111]
-    b[:, 3] = (e[:, 0b001] + e[:, 0b010]) / _SQRT2
-    b[:, 4] = (e[:, 0b101] - e[:, 0b110]) / _SQRT2
-    b[:, 5] = (e[:, 0b001] - e[:, 0b010]) / _SQRT2
-    b[:, 6] = e[:, 0b011]
-    b[:, 7] = e[:, 0b100]
-    return b
-
-
-@dataclass(frozen=True)
-class SymmetryBlocks:
-    """Block content of an operator in the symmetry-adapted basis."""
-
-    block1: np.ndarray          # on {|000>, |1>|S+>}
-    block2: np.ndarray          # on {|111>, |0>|S+>}
-    scalars: np.ndarray         # diag on (|1>|S->, |0>|S->, |011>, |100>)
-    off_block_residual: float   # max |entry| outside the block pattern
-
-
-def symmetry_blocks(m: np.ndarray) -> SymmetryBlocks:
-    """Decompose an 8x8 Hermitian operator into its symmetry blocks."""
-    m = _hermitian_8x8(m, "operator")
-    b = block_basis()
-    mb = b.T @ m @ b
-    mask = np.ones((8, 8), dtype=bool)
-    for i, j in _BLOCK_PAIRS:
-        mask[i:j + 1, i:j + 1] = False
-    for k in range(4, 8):
-        mask[k, k] = False
-    residual = float(np.max(np.abs(mb[mask]))) if mask.any() else 0.0
-    return SymmetryBlocks(
-        block1=mb[0:2, 0:2].copy(),
-        block2=mb[2:4, 2:4].copy(),
-        scalars=np.real(np.diagonal(mb)[4:8]).copy(),
-        off_block_residual=residual,
-    )
 
 
 def optimality_report(dist: AxisDistribution, n_samples: int,

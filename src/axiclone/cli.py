@@ -13,6 +13,7 @@ error, 2 numeric failure, 3 optimality violation.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import fields, replace
@@ -35,6 +36,8 @@ EXIT_OPTIMALITY = 3
 # Largest excess of a sampled map over F_opt, and largest distance of the
 # dual bound F_upper from F_opt, that verify accepts.
 _CERTIFICATE_TOL = 1e-9
+# Most points a sweep grid may have.
+_MAX_SWEEP_POINTS = 1_000_000
 
 def _finite_float(text: str, what: str = "number",
                   position: int | None = None) -> float:
@@ -109,7 +112,8 @@ def render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad}  "{k}": {render_json(v, indent + 1)}' for k, v in obj.items())
+            f'{pad}  {render_json(str(k))}: {render_json(v, indent + 1)}'
+            for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -124,7 +128,7 @@ def render_json(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if isinstance(obj, int):
         return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -135,11 +139,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _check_format(args, native: str) -> None:
-    if args.format is not None and args.format != native:
-        raise ParseError(f"{args.command} only emits {native}")
 
 
 def _params_report(d: dist_mod.AxisDistribution) -> dict:
@@ -158,13 +157,14 @@ def _params_report(d: dist_mod.AxisDistribution) -> dict:
 
 
 def cmd_params(args) -> int:
-    _check_format(args, "json")
     report = _params_report(parse_dist(args.dist))
     _emit(render_json(report), args.out)
     return EXIT_OK
 
 
-def _parse_sweep(text: str) -> tuple[list[str], np.ndarray]:
+def _parse_sweep(text: str,
+                 base: dist_mod.AxisDistribution) -> tuple[list[str], np.ndarray]:
+    """Keys and grid of ``key[,key...]=start:stop:n``, checked against ``base``."""
     names, eq, grid = text.partition("=")
     if not eq:
         raise ParseError(f"sweep must look like key=start:stop:n, got {text!r}")
@@ -179,6 +179,8 @@ def _parse_sweep(text: str) -> tuple[list[str], np.ndarray]:
         raise ParseError(f"bad sweep grid {grid!r}") from None
     if count < 2:
         raise ParseError("sweep needs at least 2 points")
+    if count > _MAX_SWEEP_POINTS:
+        raise ParseError(f"sweep has {count} points, more than {_MAX_SWEEP_POINTS}")
     if start == stop:
         raise ParseError("sweep start and stop must differ")
     if not math.isfinite(stop - start):
@@ -186,30 +188,26 @@ def _parse_sweep(text: str) -> tuple[list[str], np.ndarray]:
     keys = [k.strip() for k in names.split(",") if k.strip()]
     if not keys:
         raise ParseError("sweep needs a parameter name")
+    # only a registered kind's fields are spec keys; a table has none
+    allowed = [f.name for f in fields(base)] if base.kind in dist_mod.KINDS else ()
+    for i, key in enumerate(keys):
+        if key not in allowed:
+            raise ParseError(f"cannot sweep {key!r} on {base.kind}")
+        if key in keys[:i]:
+            raise ParseError(f"duplicate key {key!r}")
     return keys, np.linspace(start, stop, count)
 
 
-def _with_params(d: dist_mod.AxisDistribution, keys: list[str],
-                 value: float) -> dist_mod.AxisDistribution:
-    # only a registered kind's fields are spec keys; a table has none
-    allowed = [f.name for f in fields(d)] if d.kind in dist_mod.KINDS else ()
-    for key in keys:
-        if key not in allowed:
-            raise ParseError(f"cannot sweep {key!r} on {d.kind}")
-    return replace(d, **{k: value for k in keys})
-
-
 def cmd_sweep(args) -> int:
-    _check_format(args, "csv")
     base = parse_dist(args.dist)
-    keys, grid = _parse_sweep(args.sweep)
+    keys, grid = _parse_sweep(args.sweep, base)
     columns = ["param", "a1", "a2", "Gamma", "alpha_plus", "alpha_minus",
                "F_opt", "F_UC", "F_PCC_branch"]
     lines = [",".join(columns)]
     for value in grid:
         row: list[float] = [float(value)]
         try:
-            d = _with_params(base, keys, float(value))
+            d = replace(base, **dict.fromkeys(keys, float(value)))
             m = dist_mod.moments(d)
             p = optimal_angles(m)
             f_pcc = max(average_fidelity(m, pcc_params(True)),
@@ -217,8 +215,6 @@ def cmd_sweep(args) -> int:
             row += [m.a1, m.a2, p.gamma, p.alpha_plus, p.alpha_minus,
                     average_fidelity(m, p),
                     average_fidelity(m, uc_params()), f_pcc]
-        except ParseError:
-            raise
         except CloneError as exc:
             sys.stderr.write(
                 f"warning: {','.join(keys)}={_fmt(float(value))}: {exc}\n")
@@ -229,7 +225,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_format(args, "json")
     d = parse_dist(args.dist)
     m = dist_mod.moments(d)
     p = optimal_angles(m)
@@ -246,7 +241,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_format(args, "json")
     if args.samples < 1:
         raise ParseError("--samples must be >= 1")
     if args.seed < 0:
@@ -264,7 +258,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    _check_format(args, "json")
     d = parse_dist(args.dist)
     m = dist_mod.moments(d)
     p = optimal_angles(m)
@@ -295,7 +288,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--dist", required=True, help="distribution spec")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
         p.set_defaults(fn=fn)
         return p
 

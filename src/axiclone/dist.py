@@ -19,6 +19,7 @@ these moments are test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
@@ -47,18 +48,18 @@ def _p2(x: float) -> float:
     return (3 * x * x - 1) / 2
 
 
-def validate_moments(m, tol: float = FEASIBILITY_TOL) -> bool:
+def validate_moments(m) -> bool:
     """True iff (a1, a2) can come from a distribution on [-1, 1].
 
     Requires |a1| <= 1, a2 <= 1 and the variance bound (2 a2 + 1)/3 >= a1^2,
-    with ``tol`` slack so that round-off does not reject boundary cases such
-    as point masses at the poles.
+    with ``FEASIBILITY_TOL`` slack so that round-off does not reject boundary
+    cases such as point masses at the poles.
     """
     a1, a2 = m
     if not (math.isfinite(a1) and math.isfinite(a2)):
         return False
-    return (abs(a1) <= 1 + tol and a2 <= 1 + tol
-            and (2 * a2 + 1) / 3 >= a1 * a1 - tol)
+    return (abs(a1) <= 1 + FEASIBILITY_TOL and a2 <= 1 + FEASIBILITY_TOL
+            and (2 * a2 + 1) / 3 >= a1 * a1 - FEASIBILITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -282,12 +283,16 @@ class Tabulated(AxisDistribution):
         # trapezoid integral of g / max(g): it cannot overflow, so the
         # renormalised table keeps the shape of any finite input
         top = max(gs)
-        if top > 0:
-            gs = tuple(g / top for g in gs)
+        if not top > 0:
+            raise DomainError("tabulated density integrates to zero")
+        gs = tuple(g / top for g in gs)
         area = sum((b - a) * (ga + gb) / 2
                    for a, b, ga, gb in zip(xs, xs[1:], gs, gs[1:]))
-        if not area > 0:
-            raise DomainError("tabulated density integrates to zero")
+        # g / area would overflow, or keep only a few significant bits
+        if area < sys.float_info.min:
+            raise DomainError(
+                f"tabulated support is too narrow: g / max(g) integrates to "
+                f"{area:.3g}, below the smallest normal float")
         if abs(top * area - 1.0) > 1e-3:
             warnings.warn(
                 f"tabulated density integrates to {top * area:.6g}; renormalising",

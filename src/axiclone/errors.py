@@ -17,10 +17,6 @@ class InfeasibleMomentsError(CloneError, ValueError):
     """A Legendre moment pair violates the second-moment feasibility bound."""
 
 
-class DegenerateDenominatorError(CloneError, ZeroDivisionError):
-    """x+ * x- underflowed; the caller must route through the limit formula."""
-
-
 class NonHermitianError(CloneError, ValueError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 

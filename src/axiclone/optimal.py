@@ -26,10 +26,10 @@ from enum import Enum
 import numpy as np
 
 from .dist import MomentPair, validate_moments
-from .errors import DegenerateDenominatorError, InfeasibleMomentsError
+from .errors import InfeasibleMomentsError
 
 __all__ = [
-    "Regime", "ClonerParams", "gamma", "optimal_angles",
+    "Regime", "ClonerParams", "optimal_angles",
     "single_copy_fidelity", "average_fidelity", "fidelity_from_angles",
     "numeric_optimum", "uc_params", "pcc_params", "UC_ALPHA",
 ]
@@ -40,7 +40,6 @@ SQRT2 = math.sqrt(2.0)
 UC_ALPHA = 0.5 * math.asin(2.0 * SQRT2 / 3.0)
 
 DEGENERACY_EPS = 1e-12
-RADICAND_FLOOR = -1e-9
 # Fidelity difference below which two candidate cloners count as tied.
 _TIE_TOL = 1e-14
 
@@ -72,29 +71,13 @@ class ClonerParams:
                    math.sin(alpha_plus + alpha_minus), Regime.INTERIOR)
 
 
-def _xpair(a1: float, a2: float) -> tuple[float, float]:
-    return 1 + 2 * a2 + 3 * a1, 1 + 2 * a2 - 3 * a1
+def _omega(a1: float, a2: float, prod: float) -> float:
+    """Interior stationary value Omega; NaN where 3 x+ x- rad <= 0.
 
-
-def gamma(m) -> float:
-    """Branch discriminant Gamma; sign preserved.
-
-    Raises DegenerateDenominatorError when x+ x- underflows; callers must go
-    through optimal_angles, which takes the appropriate limit.
+    Only the sign of the whole product matters: where x+ x- and the radicand
+    are both negative Omega still has a value, which the boundary regimes
+    report as a diagnostic.
     """
-    a1, a2 = m
-    xp, xm = _xpair(a1, a2)
-    prod = xp * xm
-    if abs(prod) < DEGENERACY_EPS:
-        raise DegenerateDenominatorError(
-            f"x+ x- = {prod:.3e} is numerically zero at (a1, a2) = ({a1}, {a2})")
-    return 6 * SQRT2 * a1 * (a2 - 1) / prod
-
-
-def _omega_or_nan(a1: float, a2: float) -> float:
-    """Interior stationary value where defined, NaN otherwise (diagnostic)."""
-    xp, xm = _xpair(a1, a2)
-    prod = xp * xm
     rad = 3 + 4 * a2 * a2 - 3 * a1 * a1 - 4 * a2
     denom_sq = 3 * prod * rad
     if denom_sq <= 0:
@@ -157,8 +140,7 @@ def optimal_angles(m) -> ClonerParams:
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
     a1, a2 = m
-    xp, xm = _xpair(a1, a2)
-    prod = xp * xm
+    prod = (1 + 2 * a2 + 3 * a1) * (1 + 2 * a2 - 3 * a1)
 
     if abs(prod) < DEGENERACY_EPS:
         if abs(a1) > 0.5:
@@ -186,20 +168,18 @@ def optimal_angles(m) -> ClonerParams:
 
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
     if abs(g) >= 1.0:
-        omega = _omega_or_nan(a1, a2)
+        omega = _omega(a1, a2, prod)
         upper = ClonerParams(0.0, math.pi / 2, g, omega, Regime.PCC_UPPER)
         lower = ClonerParams(math.pi / 2, 0.0, g, omega, Regime.PCC_LOWER)
         if average_fidelity(m, upper) >= average_fidelity(m, lower):
             return upper
         return lower
 
-    rad = 3 + 4 * a2 * a2 - 3 * a1 * a1 - 4 * a2
-    if rad < RADICAND_FLOOR or prod <= 0:
+    omega = _omega(a1, a2, prod)
+    # written as "not <=" so that a NaN Omega is rejected too
+    if prod <= 0 or not omega <= 1.0 + 1e-9:
         raise InfeasibleMomentsError(
-            f"interior radicand {rad:.3e} (x+ x- = {prod:.3e}) at {tuple(m)}")
-    omega = 2 * SQRT2 * (1 + 2 * a2) * (1 - a2) / math.sqrt(3 * prod * max(rad, 0.0))
-    if omega > 1.0 + 1e-9:
-        raise InfeasibleMomentsError(f"interior stationary value {omega} > 1")
+            f"interior stationary value {omega} (x+ x- = {prod:.3e}) at {tuple(m)}")
     omega = min(omega, 1.0)
 
     asin_o = math.asin(omega)
@@ -222,17 +202,17 @@ def optimal_angles(m) -> ClonerParams:
     return best
 
 
-def numeric_optimum(m, grid: int = 400, tol: float = 1e-10):
+def numeric_optimum(m):
     """Brute-force maximiser of the average fidelity; oracle for the closed form.
 
-    Scans a grid x grid mesh over [0, pi/2]^2, then refines coordinatewise by
-    shrinking bracketed sweeps until the fidelity stops improving at ``tol``.
+    Scans a 400 x 400 mesh over [0, pi/2]^2, then refines coordinatewise by
+    shrinking bracketed sweeps until the step falls below 1e-12.
     Returns (alpha_plus, alpha_minus, fidelity).
     """
     m = MomentPair(*m)
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
-    axis = np.linspace(0.0, math.pi / 2, grid)
+    axis = np.linspace(0.0, math.pi / 2, 400)
     ap_mesh, am_mesh = np.meshgrid(axis, axis, indexing="ij")
     f_mesh = fidelity_from_angles(m, ap_mesh, am_mesh)
     i, j = np.unravel_index(np.argmax(f_mesh), f_mesh.shape)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from axiclone import (Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein,
-                      MomentPair, Uniform, VonMisesFisher, average_fidelity,
-                      build_merit, choi_from_params, moments, optimal_angles)
+from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
+                      HenyeyGreenstein, MomentPair, Uniform, VonMisesFisher,
+                      average_fidelity, build_merit, choi_from_params, moments,
+                      optimal_angles)
 from axiclone.choi import trace_out_clones
 
 from oracles import primal_sdp_max
@@ -16,6 +17,12 @@ def random_feasible_moments(rng) -> MomentPair:
     a1 = rng.uniform(-1.0, 1.0)
     a2 = rng.uniform((3 * a1 * a1 - 1) / 2, 1.0)
     return MomentPair(a1, a2)
+
+
+def random_params(rng) -> ClonerParams:
+    """A cloner with both angles drawn uniformly from [0, pi/2]."""
+    ap, am = rng.uniform(0, math.pi / 2, 2)
+    return ClonerParams.from_angles(float(ap), float(am))
 
 
 def random_distribution(rng, density_only: bool = False):

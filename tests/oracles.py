@@ -19,19 +19,21 @@ explicit pure states and summed over a 16-point azimuth grid, is the
 independent reference for the closed-form :func:`axiclone.build_merit`:
 equal at each latitude and, integrated against a density, equal to
 quadrature accuracy.  The vMF regime threshold is found by bisection on
-Gamma.
+Gamma.  The symmetry blocks split an 8x8 operator along the axis-rotation
+and clone-swap symmetry, the structure the dual certificate rests on.
 """
 
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from axiclone import (DomainError, MomentPair, UnsupportedKindError,
-                      VonMisesFisher, gamma, moments)
-from axiclone.choi import trace_out_clones
+                      VonMisesFisher, moments, optimal_angles)
+from axiclone.choi import _hermitian_8x8, trace_out_clones
 
 
 class QuadratureError(ArithmeticError):
@@ -436,8 +438,62 @@ def vmf_kappa_threshold() -> float:
     lo, hi = 0.05, 1.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if gamma(moments(VonMisesFisher(kappa=mid))) + 1.0 > 0:
+        if optimal_angles(moments(VonMisesFisher(kappa=mid))).gamma + 1.0 > 0:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+_SQRT2 = math.sqrt(2.0)
+_BLOCK_PAIRS = ((0, 1), (2, 3))
+
+
+def block_basis() -> np.ndarray:
+    """Orthonormal basis adapted to the rotation/swap symmetry.
+
+    Columns: |000>, |1>|S+>, |111>, |0>|S+>, |1>|S->, |0>|S->, |011>, |100>,
+    where |S+-> = (|01> +- |10>)/sqrt(2) lives on the clone pair.  Symmetric
+    operators are block diagonal here: two 2x2 blocks on the first four
+    vectors and four scalars on the rest.
+    """
+    e = np.eye(8)
+    b = np.zeros((8, 8))
+    b[:, 0] = e[:, 0b000]
+    b[:, 1] = (e[:, 0b101] + e[:, 0b110]) / _SQRT2
+    b[:, 2] = e[:, 0b111]
+    b[:, 3] = (e[:, 0b001] + e[:, 0b010]) / _SQRT2
+    b[:, 4] = (e[:, 0b101] - e[:, 0b110]) / _SQRT2
+    b[:, 5] = (e[:, 0b001] - e[:, 0b010]) / _SQRT2
+    b[:, 6] = e[:, 0b011]
+    b[:, 7] = e[:, 0b100]
+    return b
+
+
+@dataclass(frozen=True)
+class SymmetryBlocks:
+    """Block content of an operator in the symmetry-adapted basis."""
+
+    block1: np.ndarray          # on {|000>, |1>|S+>}
+    block2: np.ndarray          # on {|111>, |0>|S+>}
+    scalars: np.ndarray         # diag on (|1>|S->, |0>|S->, |011>, |100>)
+    off_block_residual: float   # max |entry| outside the block pattern
+
+
+def symmetry_blocks(m: np.ndarray) -> SymmetryBlocks:
+    """Decompose an 8x8 Hermitian operator into its symmetry blocks."""
+    m = _hermitian_8x8(m, "operator")
+    b = block_basis()
+    mb = b.T @ m @ b
+    mask = np.ones((8, 8), dtype=bool)
+    for i, j in _BLOCK_PAIRS:
+        mask[i:j + 1, i:j + 1] = False
+    for k in range(4, 8):
+        mask[k, k] = False
+    residual = float(np.max(np.abs(mb[mask]))) if mask.any() else 0.0
+    return SymmetryBlocks(
+        block1=mb[0:2, 0:2].copy(),
+        block2=mb[2:4, 2:4].copy(),
+        scalars=np.real(np.diagonal(mb)[4:8]).copy(),
+        off_block_residual=residual,
+    )

@@ -14,10 +14,10 @@ from axiclone import (Brosseau, Circuit, ClonerParams, Delta, DeltaPair,
                       average_fidelity, build_circuit, build_merit,
                       choi_fidelity, choi_from_params, circuit_unitary,
                       clone_fidelity_sim, clone_isometry, dual_certificate,
-                      gamma, max_sampled_fidelity, moments, optimal_angles,
+                      max_sampled_fidelity, moments, optimal_angles,
                       pcc_params, single_copy_fidelity)
 
-from conftest import assert_primal_optimum
+from conftest import assert_primal_optimum, random_params
 from oracles import (density, integrate_marginal, quadrature_moments,
                      vmf_kappa_threshold)
 
@@ -36,11 +36,6 @@ def criterion(number, label):
             print(f"ACCEPTANCE {number:02d} PASS - {label}")
         return wrapper
     return decorate
-
-
-def random_angle_params(rng) -> ClonerParams:
-    ap, am = rng.uniform(0, math.pi / 2, 2)
-    return ClonerParams.from_angles(float(ap), float(am))
 
 
 @criterion(1, "uniform ensemble reduces to the 5/6 state-independent cloner")
@@ -72,8 +67,8 @@ def test_criterion_01_uc_reduction():
 @criterion(2, "interior/boundary threshold sits at concentration 0.3305")
 def test_criterion_02_pcc_threshold():
     kappa_star = vmf_kappa_threshold()
-    assert abs(gamma(moments(VonMisesFisher(kappa=kappa_star)))) == pytest.approx(
-        1.0, abs=1e-9)
+    p = optimal_angles(moments(VonMisesFisher(kappa=kappa_star)))
+    assert abs(p.gamma) == pytest.approx(1.0, abs=1e-9)
     assert kappa_star == pytest.approx(0.3305, abs=5e-4)
 
 
@@ -172,7 +167,7 @@ def test_criterion_07_optimality_certification():
 def test_criterion_08_circuit_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(100):
-        p = random_angle_params(rng)
+        p = random_params(rng)
         u = circuit_unitary(build_circuit(p))
         v = clone_isometry(p)
         assert np.linalg.norm(u[:, [0b000, 0b100]] - v) <= 1e-12
@@ -192,7 +187,7 @@ def test_criterion_09_simulation_consistency():
     rng = np.random.default_rng(99)
     thetas = np.linspace(0.0, math.pi, 50)
     for _ in range(10):
-        p = random_angle_params(rng)
+        p = random_params(rng)
         for theta in thetas:
             q = PureQubit(float(theta), 0.0)
             f1 = clone_fidelity_sim(q, p, 1)

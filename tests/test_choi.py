@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
-                      DomainError, HenyeyGreenstein, MomentPair,
-                      NonHermitianError, Uniform, VonMisesFisher,
-                      average_fidelity, build_merit, choi_fidelity,
-                      choi_from_params, dual_certificate,
+from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
+                      HenyeyGreenstein, MomentPair, NonHermitianError,
+                      Uniform, VonMisesFisher, average_fidelity, build_merit,
+                      choi_fidelity, choi_from_params, dual_certificate,
                       max_sampled_fidelity, moments, optimal_angles,
-                      pcc_params, random_cptp, symmetry_blocks, uc_params)
+                      pcc_params, random_cptp, uc_params)
 from axiclone import choi
-from axiclone.choi import (choi_from_isometry, partial_trace_input,
-                           trace_out_clones)
-from conftest import assert_primal_optimum, random_distribution
-from oracles import (density, haar_isometry, integrate_marginal,
+from axiclone.choi import choi_from_isometry, trace_out_clones
+from conftest import assert_primal_optimum, random_distribution, random_params
+from oracles import (block_basis, density, haar_isometry, integrate_marginal,
                      lapack_fidelities, lapack_haar_isometry,
                      merit_kernel_reference, row_fidelity,
-                     sampled_fidelity_loop)
+                     sampled_fidelity_loop, symmetry_blocks)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,11 +25,6 @@ SQRT2 = math.sqrt(2.0)
 PEAKED = [VonMisesFisher(kappa=1e5), VonMisesFisher(kappa=-1e6),
           HenyeyGreenstein(h=0.9999), HenyeyGreenstein(h=-0.999999),
           Brosseau(P=0.999999, mu=0.999999), Brosseau(P=0.999999, mu=-0.5)]
-
-
-def random_params(rng) -> ClonerParams:
-    ap, am = rng.uniform(0, math.pi / 2, 2)
-    return ClonerParams.from_angles(float(ap), float(am))
 
 
 def phase_conjugated(r, seed=11):
@@ -138,7 +131,7 @@ class TestChoiFromParams:
 
     def test_average_output_state(self, rng):
         chi = choi_from_params(random_params(rng))
-        avg_out = partial_trace_input(chi)
+        avg_out = np.einsum("imin->mn", chi.reshape(2, 4, 2, 4))
         assert np.trace(avg_out).real == pytest.approx(2.0, abs=1e-12)
 
 
@@ -406,7 +399,7 @@ class TestDualCertificate:
         m = moments(dist)
         p = optimal_angles(m)
         f_opt = average_fidelity(m, p)
-        b = choi.block_basis()[:, 4]
+        b = block_basis()[:, 4]
         r = build_merit(dist) + 0.5 * np.outer(b, b)
         tr_y, lam = dual_certificate(r, p)
         assert abs(tr_y - f_opt) <= 1e-12

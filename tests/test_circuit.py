@@ -7,13 +7,9 @@ from axiclone import (Circuit, ClonerParams, DomainError, Gate, MomentPair,
                       build_circuit, circuit_unitary, clone_isometry,
                       gate_matrix, optimal_angles, pcc_params,
                       single_copy_fidelity, uc_params)
+from conftest import random_params
 
 SQRT2 = math.sqrt(2.0)
-
-
-def random_params(rng) -> ClonerParams:
-    ap, am = rng.uniform(0, math.pi / 2, 2)
-    return ClonerParams.from_angles(float(ap), float(am))
 
 
 def input_columns(u):

@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 from axiclone import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                       HenyeyGreenstein, MomentPair, Uniform, VonMisesFisher)
 from axiclone import choi as choi_mod
+from axiclone import cli
 from axiclone import dist as dist_mod
 from axiclone.cli import main, parse_dist, render_json
 from axiclone.dist import spec_string
 from axiclone.errors import ParseError, UnsupportedKindError
 
 from conftest import random_distribution
+from oracles import block_basis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,6 +168,14 @@ class TestRenderJson:
         text = render_json({"a": [1.0, float("nan")], "b": None, "c": True})
         assert "NaN" in text and "null" in text and "true" in text
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_any_string_parses_back(self, s):
+        # control characters, quotes and backslashes are escaped; other
+        # characters, non-ASCII included, are written as they are
+        assert json.loads(render_json(s)) == s
+        assert json.loads(render_json({s: [s]})) == {s: [s]}
+
 
 class TestParamsCommand:
     def test_uniform(self, capsys):
@@ -211,6 +221,18 @@ class TestParamsCommand:
         code, out, err = run_cli(capsys, "params", "--dist", f"table:{path}")
         assert (code, out) == (2, "")
         assert err == "numeric error: tabulated samples must be finite\n"
+
+    @pytest.mark.parametrize("rows,area", [("0,1\n1e-320,1\n", "1e-320"),
+                                           ("0,1\n5e-324,0\n", "0")])
+    def test_subnormally_narrow_table_is_named(self, capsys, tmp_path, rows,
+                                               area):
+        path = tmp_path / "table.csv"
+        path.write_text(rows)
+        code, out, err = run_cli(capsys, "params", "--dist", f"table:{path}")
+        assert (code, out) == (2, "")
+        assert err == ("numeric error: tabulated support is too narrow: "
+                       f"g / max(g) integrates to {area}, below the smallest "
+                       "normal float\n")
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_table_is_parse_error(self, capsys, tmp_path, case):
@@ -355,6 +377,28 @@ class TestSweepCommand:
                              "--sweep", "kappa=0:3")
         assert code == 1
 
+    def test_grid_too_large_to_allocate(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
+                                 "--sweep", "kappa=0:1:100000000000000000000")
+        assert (code, out) == (1, "")
+        assert err == (f"error: sweep has 100000000000000000000 points, "
+                       f"more than {cli._MAX_SWEEP_POINTS}\n")
+
+    def test_point_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_SWEEP_POINTS", 4)
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
+                               "--sweep", "kappa=0:1:4")
+        assert code == 0 and len(out.splitlines()) == 5
+        code, out, _ = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
+                               "--sweep", "kappa=0:1:5")
+        assert (code, out) == (1, "")
+
+    def test_duplicate_key_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
+                                 "--sweep", "kappa,kappa=0:1:3")
+        assert (code, out) == (1, "")
+        assert err == "error: duplicate key 'kappa'\n"
+
     def test_format_mismatch_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
                              "--sweep", "kappa=0:3:5", "--format", "json")
@@ -432,7 +476,7 @@ class TestVerifyCommand:
             bump = np.zeros((8, 8))
             bump[0, 0] = 1e-6
         else:
-            b = choi_mod.block_basis()[:, 4]
+            b = block_basis()[:, 4]
             bump = 0.5 * np.outer(b, b)
 
         monkeypatch.setattr(choi_mod, "_merit",
@@ -470,6 +514,17 @@ class TestCircuitCommand:
         _, out, _ = run_cli(capsys, "circuit", "--dist", "belt:theta1=0.5,theta2=1.2")
         rep = json.loads(out)
         assert parse_dist(rep["distribution"]) == Belt(theta1=0.5, theta2=1.2)
+
+
+@pytest.mark.parametrize("argv", [("circuit",), ("verify", "--samples", "5")])
+def test_table_path_with_control_character_is_valid_json(capsys, tmp_path, argv):
+    path = tmp_path / "a\tb.csv"
+    path.write_text("-1.0,0.5\n1.0,0.5\n")
+    code, out, _ = run_cli(capsys, argv[0], "--dist", f"table:{path}", *argv[1:])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["distribution"] == f"table:{path}"
+    assert parse_dist(rep["distribution"]) == parse_dist(f"table:{path}")
 
 
 def _readme_commands() -> list[str]:

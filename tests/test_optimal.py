@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Brosseau, DegenerateDenominatorError, DeltaPair,
+from axiclone import (Brosseau, ClonerParams, DeltaPair,
                       InfeasibleMomentsError, MomentPair, Regime, UC_ALPHA,
                       VonMisesFisher, average_fidelity, fidelity_from_angles,
-                      gamma, moments, numeric_optimum, optimal_angles,
-                      pcc_params, single_copy_fidelity, uc_params)
+                      moments, numeric_optimum, optimal_angles, pcc_params,
+                      single_copy_fidelity, uc_params)
 from conftest import random_distribution, random_feasible_moments
 from oracles import density, integrate_marginal, vmf_kappa_threshold
 
@@ -18,21 +18,17 @@ PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
 
 class TestGamma:
     def test_vanishes_with_a1(self):
-        assert gamma(MomentPair(0.0, 0.3)) == 0.0
+        assert optimal_angles(MomentPair(0.0, 0.3)).gamma == 0.0
 
     def test_vmf_kappa_one(self):
         m = moments(VonMisesFisher(kappa=1.0))
-        g = gamma(m)
+        g = optimal_angles(m).gamma
         assert g == pytest.approx(-6.625545262083531, abs=1e-9)
         assert abs(g) > 1  # boundary cloner is optimal there
 
-    def test_degenerate_denominator_signal(self):
-        with pytest.raises(DegenerateDenominatorError):
-            gamma(MomentPair(0.0, -0.5))
-
     def test_sign_preserved(self):
-        assert gamma(MomentPair(0.2, 0.0)) < 0
-        assert gamma(MomentPair(-0.2, 0.0)) > 0
+        assert optimal_angles(MomentPair(0.2, 0.0)).gamma < 0
+        assert optimal_angles(MomentPair(-0.2, 0.0)).gamma > 0
 
 
 class TestOptimalAngles:
@@ -48,6 +44,7 @@ class TestOptimalAngles:
         assert p.alpha_plus == pytest.approx(math.pi / 4, abs=1e-12)
         assert p.alpha_minus == pytest.approx(math.pi / 4, abs=1e-12)
         assert p.omega_value == pytest.approx(1.0, abs=1e-12)
+        assert p.gamma == 0.0
 
     @pytest.mark.parametrize("m,regime", [
         (MomentPair(0.3, -0.05), Regime.PCC_UPPER),      # x- = 0
@@ -130,7 +127,6 @@ class TestSingleCopyFidelity:
     def test_range(self, rng):
         for _ in range(40):
             ap, am = rng.uniform(0, math.pi / 2, 2)
-            from axiclone import ClonerParams
             p = ClonerParams.from_angles(float(ap), float(am))
             for theta in np.linspace(0, math.pi, 21):
                 f = single_copy_fidelity(float(theta), p)
@@ -166,7 +162,6 @@ class TestAverageFidelity:
             dist = random_distribution(rng, density_only=True)
             m = moments(dist)
             ap, am = rng.uniform(0, math.pi / 2, 2)
-            from axiclone import ClonerParams
             p = ClonerParams.from_angles(float(ap), float(am))
 
             def integrand(x):

@@ -1,8 +1,11 @@
+import argparse
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+from axiclone import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -64,3 +67,17 @@ def test_failing_property_test_does_not_abort_the_session(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+def test_each_command_takes_only_its_own_options():
+    # every command reads --dist and --out; any further option is read by
+    # that command alone, so an option no command reads cannot come back
+    own = {"params": set(), "sweep": {"--sweep"},
+           "simulate": {"--theta", "--phi"}, "verify": {"--samples", "--seed"},
+           "circuit": set()}
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(own)
+    for name, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options - {"-h", "--help"} == {"--dist", "--out"} | own[name], name

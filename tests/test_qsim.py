@@ -4,10 +4,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from axiclone import (ClonerParams, DomainError, MomentPair, PureQubit,
-                      apply_clone, clone_fidelity_sim, clone_isometry,
-                      optimal_angles, partial_trace, pcc_params,
-                      single_copy_fidelity, uc_params)
+from axiclone import (DomainError, MomentPair, PureQubit, apply_clone,
+                      clone_fidelity_sim, clone_isometry, optimal_angles,
+                      partial_trace, pcc_params, single_copy_fidelity,
+                      uc_params)
+from conftest import random_params
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,11 +50,6 @@ def rotate_frame(q: PureQubit, f: AxisFrame, inverse: bool = False) -> PureQubit
     amps = q.amplitudes()
     rotated = (u if inverse else u.conj().T) @ amps
     return from_amplitudes(rotated)
-
-
-def random_params(rng) -> ClonerParams:
-    ap, am = rng.uniform(0, math.pi / 2, 2)
-    return ClonerParams.from_angles(float(ap), float(am))
 
 
 def reduced_clone_closed_form(theta, phi, p):
