@@ -6,7 +6,14 @@ best symmetric cloner, which this package computes in closed form, simulates
 exactly on three qubits, certifies against every CPTP map with an exact
 semidefinite dual bound and against Haar-random maps, and compiles to a small
 quantum circuit.
+
+Importing the package loads no numpy: the closed form, the moments and the
+gate list are scalar math.  The numpy-backed names of ``qsim`` and ``choi``
+are resolved on first access, and ``circuit_unitary`` / ``gate_matrix``
+import numpy when first called.
 """
+
+import importlib
 
 from .dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                    HenyeyGreenstein, MomentPair, Tabulated, Uniform,
@@ -17,12 +24,29 @@ from .errors import (CloneError, DomainError, InfeasibleMomentsError,
 from .optimal import (ClonerParams, Regime, average_fidelity,
                       fidelity_from_angles, numeric_optimum, optimal_angles,
                       pcc_params, single_copy_fidelity, uc_params, UC_ALPHA)
-from .qsim import (PureQubit, apply_clone, clone_fidelity_sim,
-                   clone_isometry, partial_trace)
-from .choi import (build_merit, choi_fidelity, choi_from_params,
-                   dual_certificate, max_sampled_fidelity,
-                   optimality_report, random_cptp)
 from .circuit import (Circuit, Gate, build_circuit, circuit_unitary,
                       gate_matrix)
 
 __version__ = "0.1.0"
+
+# name -> submodule of each numpy-backed name, imported on first access
+_LAZY = {name: module for module, names in (
+    ("qsim", ("PureQubit", "apply_clone", "clone_fidelity_sim",
+              "clone_isometry", "partial_trace")),
+    ("choi", ("build_merit", "choi_fidelity", "choi_from_params",
+              "dual_certificate", "max_sampled_fidelity",
+              "optimality_report", "random_cptp")),
+) for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

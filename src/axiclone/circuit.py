@@ -16,20 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .optimal import ClonerParams
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "Gate", "Circuit", "build_circuit", "gate_matrix", "circuit_unitary",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
 
 KINDS = ("Ry", "CRy", "CNOT", "CH", "X")
 
@@ -79,44 +76,6 @@ class Circuit:
         return [g.as_dict() for g in self.gates]
 
 
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _embed_single(u: np.ndarray, target: int) -> np.ndarray:
-    ops = [_I2, _I2, _I2]
-    ops[target - 1] = u
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
-
-
-def _embed_controlled(u: np.ndarray, control: int, target: int) -> np.ndarray:
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    idle = [_I2, _I2, _I2]
-    idle[control - 1] = p0
-    act = [_I2, _I2, _I2]
-    act[control - 1] = p1
-    act[target - 1] = u
-    return (np.kron(np.kron(idle[0], idle[1]), idle[2])
-            + np.kron(np.kron(act[0], act[1]), act[2]))
-
-
-def gate_matrix(g: Gate) -> np.ndarray:
-    """8x8 unitary of the gate embedded on its qubits."""
-    if g.kind == "Ry":
-        return _embed_single(_ry(g.param), g.target)
-    if g.kind == "CRy":
-        return _embed_controlled(_ry(g.param), g.control, g.target)
-    if g.kind == "CNOT":
-        return _embed_controlled(_X, g.control, g.target)
-    if g.kind == "CH":
-        return _embed_controlled(_H, g.control, g.target)
-    if g.kind == "X":
-        return _embed_single(_X, g.target)
-    raise DomainError(f"unknown gate kind {g.kind!r}")
-
-
 def build_circuit(p: ClonerParams) -> Circuit:
     """Gate realisation of the cloner, in application order."""
     phi = 2 * (p.alpha_minus - p.alpha_plus)
@@ -132,8 +91,40 @@ def build_circuit(p: ClonerParams) -> Circuit:
     ))
 
 
+# The matrix view below is the only numpy user in this module; it imports
+# numpy on first call, so building and printing a circuit never loads it.
+
+def gate_matrix(g: Gate) -> np.ndarray:
+    """8x8 unitary of the gate embedded on its qubits."""
+    import numpy as np
+
+    eye = np.eye(2, dtype=complex)
+    if g.kind in ("Ry", "CRy"):
+        c, s = math.cos(g.param / 2), math.sin(g.param / 2)
+        u = np.array([[c, -s], [s, c]], dtype=complex)
+    elif g.kind == "CH":
+        u = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+    else:  # CNOT and X
+        u = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def kron3(ops):
+        return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+    act = [eye, eye, eye]
+    act[g.target - 1] = u
+    if g.control is None:
+        return kron3(act)
+    # |0><0| on the control leaves the target idle, |1><1| applies u
+    idle = [eye, eye, eye]
+    idle[g.control - 1] = np.diag([1.0, 0.0]).astype(complex)
+    act[g.control - 1] = np.diag([0.0, 1.0]).astype(complex)
+    return kron3(idle) + kron3(act)
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of the gate matrices (first gate rightmost)."""
+    import numpy as np
+
     u = np.eye(8, dtype=complex)
     for g in c.gates:
         u = gate_matrix(g) @ u

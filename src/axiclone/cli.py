@@ -18,12 +18,8 @@ import math
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
-from . import choi as choi_mod
 from . import circuit as circuit_mod
 from . import dist as dist_mod
-from . import qsim
 from .errors import CloneError, ParseError
 from .optimal import (average_fidelity, optimal_angles, pcc_params,
                       single_copy_fidelity, uc_params)
@@ -128,7 +124,10 @@ def render_json(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if isinstance(obj, int):
         return str(obj)
-    return json.dumps(str(obj), ensure_ascii=False)
+    # a lone surrogate (an argv byte that was not UTF-8) has no UTF-8 form;
+    # backslashreplace writes it as its \udcXX JSON escape instead
+    text = json.dumps(str(obj), ensure_ascii=False)
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -162,8 +161,26 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` points from ``start`` to ``stop``, bit for bit ``np.linspace``.
+
+    numpy's recipe: i * step + start with step = (stop - start) / (count - 1),
+    or (i / (count - 1)) * (stop - start) where the step underflows to zero,
+    and the last point set to ``stop``.
+    """
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    grid[-1] = stop
+    return grid
+
+
 def _parse_sweep(text: str,
-                 base: dist_mod.AxisDistribution) -> tuple[list[str], np.ndarray]:
+                 base: dist_mod.AxisDistribution) -> tuple[list[str], list[float]]:
     """Keys and grid of ``key[,key...]=start:stop:n``, checked against ``base``."""
     names, eq, grid = text.partition("=")
     if not eq:
@@ -195,7 +212,7 @@ def _parse_sweep(text: str,
             raise ParseError(f"cannot sweep {key!r} on {base.kind}")
         if key in keys[:i]:
             raise ParseError(f"duplicate key {key!r}")
-    return keys, np.linspace(start, stop, count)
+    return keys, _linspace(start, stop, count)
 
 
 def cmd_sweep(args) -> int:
@@ -225,6 +242,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import qsim
+
     d = parse_dist(args.dist)
     m = dist_mod.moments(d)
     p = optimal_angles(m)
@@ -241,6 +260,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import choi as choi_mod
+
     if args.samples < 1:
         raise ParseError("--samples must be >= 1")
     if args.seed < 0:

@@ -294,9 +294,11 @@ class Tabulated(AxisDistribution):
                 f"tabulated support is too narrow: g / max(g) integrates to "
                 f"{area:.3g}, below the smallest normal float")
         if abs(top * area - 1.0) > 1e-3:
+            # level 2 is the dataclass-generated __init__, whose file is
+            # "<string>"; level 3 is the code that built the table
             warnings.warn(
                 f"tabulated density integrates to {top * area:.6g}; renormalising",
-                stacklevel=2)
+                stacklevel=3)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", tuple(g / area for g in gs))
 

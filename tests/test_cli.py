@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axiclone import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                       HenyeyGreenstein, MomentPair, Uniform, VonMisesFisher)
@@ -22,6 +25,7 @@ from conftest import random_distribution
 from oracles import block_basis
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +179,20 @@ class TestRenderJson:
         # characters, non-ASCII included, are written as they are
         assert json.loads(render_json(s)) == s
         assert json.loads(render_json({s: [s]})) == {s: [s]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters()
+                   | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF,
+                                   categories=["Cs"])))
+    def test_lone_surrogates_are_escaped(self, s):
+        # argv decodes a byte that is not UTF-8 to U+DC80..U+DCFF; it is
+        # written as its \udcXX escape, so the output is UTF-8; any other
+        # string is written exactly as json.dumps(ensure_ascii=False) does
+        text = render_json(s)
+        text.encode("utf-8")
+        assert json.loads(text) == s
+        if not any("\ud800" <= c <= "\udfff" for c in s):
+            assert text == json.dumps(s, ensure_ascii=False)
 
 
 class TestParamsCommand:
@@ -407,6 +425,30 @@ class TestSweepCommand:
                              "--format", "csv")
         assert code == 1
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(2, 400))
+    @example(0.0, 5e-324, 3)  # the step underflows to zero
+    @example(5e-324, -5e-324, 7)
+    @example(1.0, -2.5, 2)
+    @example(-0.0, -3.0, 11)
+    @example(0.0, 3.0, 301)
+    def test_grid_is_numpy_linspace(self, start, stop, count):
+        # the grid is built without numpy, bit for bit as np.linspace builds it
+        if start == stop or not math.isfinite(stop - start):
+            return
+        _, grid = cli._parse_sweep(f"kappa={start!r}:{stop!r}:{count}",
+                                   VonMisesFisher(kappa=0.0))
+        # numpy's own last point may overflow before it is set to stop
+        with np.errstate(over="ignore"):
+            expected = np.linspace(start, stop, count)
+        assert len(grid) == count
+        for got, want in zip(grid, expected.tolist()):
+            assert type(got) is float
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
     def test_sweep_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -525,6 +567,32 @@ def test_table_path_with_control_character_is_valid_json(capsys, tmp_path, argv)
     rep = json.loads(out)
     assert rep["distribution"] == f"table:{path}"
     assert parse_dist(rep["distribution"]) == parse_dist(f"table:{path}")
+
+
+@pytest.mark.parametrize("errors", ["surrogateescape", "strict"])
+@pytest.mark.parametrize("argv,to_file", [(("circuit",), False),
+                                          (("verify", "--samples", "5"), False),
+                                          (("circuit",), True)])
+def test_table_path_that_is_not_utf8_is_valid_json(tmp_path, argv, to_file,
+                                                   errors):
+    # argv decodes the byte 0xff to the lone surrogate U+DCFF; the report
+    # escapes it, so stdout (or the --out file) is valid UTF-8 and JSON
+    # whichever error handler stdout has
+    path = os.fsencode(tmp_path) + b"/a\xffb.csv"
+    with open(path, "wb") as fh:
+        fh.write(b"-1.0,0.5\n1.0,0.5\n")
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               PYTHONIOENCODING=f"utf-8:{errors}")
+    result = subprocess.run(
+        [sys.executable, "-m", "axiclone.cli", argv[0],
+         "--dist", b"table:" + path, *argv[1:],
+         *(["--out", str(out)] if to_file else [])],
+        env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    raw = out.read_bytes() if to_file else result.stdout
+    rep = json.loads(raw.decode("utf-8"))
+    assert rep["distribution"] == "table:" + os.fsdecode(path)
 
 
 def _readme_commands() -> list[str]:

@@ -333,6 +333,18 @@ class TestTabulated:
             t = Tabulated(xs=(-1.0, 0.0, 1.0), gs=(1.0, 2.0, 1.0))
         assert normalization_integral(t) == pytest.approx(1.0, abs=1e-10)
 
+    def test_renormalisation_warning_names_the_caller(self, tmp_path):
+        # the location is the code that built the table, not the
+        # dataclass-generated __init__, whose file is "<string>"
+        with pytest.warns(UserWarning, match="renormalising") as record:
+            Tabulated(xs=(-1.0, 1.0), gs=(1.0, 1.0))
+        assert [w.filename for w in record] == [__file__]
+        path = tmp_path / "double.csv"
+        path.write_text("-1,1\n1,1\n")
+        with pytest.warns(UserWarning, match="renormalising") as record:
+            load_tabulated(str(path))
+        assert [w.filename for w in record] == [dist_mod.__file__]
+
     def test_moments_match_quadrature(self):
         xs = tuple(np.linspace(-1, 1, 41))
         gs = tuple(0.5 * (1 + 0.4 * x) for x in xs)

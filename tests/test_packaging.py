@@ -20,6 +20,47 @@ def test_import_does_not_load_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_scalar_commands_do_not_load_numpy():
+    # the closed form, the moments and the gate list are scalar math: the
+    # package import and params / circuit / sweep run without numpy, and the
+    # numpy-backed names still resolve on first access
+    code = textwrap.dedent("""
+        import sys
+        import axiclone
+        assert "numpy" not in sys.modules, "import axiclone loaded numpy"
+        for name in ("build_merit", "PureQubit", "circuit_unitary"):
+            assert name in dir(axiclone), name
+            assert callable(getattr(axiclone, name)), name
+        assert "numpy" in sys.modules
+        for name in dir(axiclone):
+            getattr(axiclone, name)
+        try:
+            axiclone.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown attribute resolved")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for argv in (["params", "--dist", "vmf:kappa=1.5"],
+                 ["circuit", "--dist", "uniform"],
+                 ["sweep", "--dist", "hg:h=0", "--sweep", "h=-0.5:0.5:11"]):
+        # a fresh ``python -m axiclone.cli`` process, as a user runs it;
+        # -X importtime lists every module it imports on stderr
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "axiclone.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "axiclone.optimal" in imported, argv
+        assert "numpy" not in imported, f"{argv[0]} loaded numpy"
+
+
 def test_moments_load_no_polynomial_module_or_integrator():
     # every kind's moments are closed forms or exact sums over a table's
     # segments: none needs numpy.polynomial, and no quadrature module ships
