@@ -22,10 +22,9 @@ from .dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
 from .errors import (CloneError, DomainError, InfeasibleMomentsError,
                      NonHermitianError, ParseError, UnsupportedKindError)
 from .optimal import (ClonerParams, Regime, average_fidelity,
-                      fidelity_from_angles, numeric_optimum, optimal_angles,
-                      pcc_params, single_copy_fidelity, uc_params, UC_ALPHA)
-from .circuit import (Circuit, Gate, build_circuit, circuit_unitary,
-                      gate_matrix)
+                      numeric_optimum, optimal_angles, pcc_params,
+                      single_copy_fidelity, uc_params, UC_ALPHA)
+from .circuit import Gate, build_circuit, circuit_unitary, gate_matrix
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ _LAZY = {name: module for module, names in (
               "clone_isometry", "partial_trace")),
     ("choi", ("build_merit", "choi_fidelity", "choi_from_params",
               "dual_certificate", "max_sampled_fidelity",
-              "optimality_report", "random_cptp")),
+              "optimality_report")),
 ) for name in names}
 
 

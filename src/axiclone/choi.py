@@ -35,12 +35,12 @@ import numpy as np
 from .dist import AxisDistribution, moments
 from .errors import DomainError, NonHermitianError
 from .optimal import ClonerParams, average_fidelity, optimal_angles
-from .qsim import clone_isometry
+from .qsim import clone_isometry, partial_trace
 
 __all__ = [
-    "build_merit", "choi_from_params", "choi_fidelity", "random_cptp",
+    "build_merit", "choi_from_params", "choi_fidelity",
     "dual_certificate", "max_sampled_fidelity", "optimality_report",
-    "choi_from_isometry", "trace_out_clones",
+    "choi_from_isometry",
 ]
 
 _I2 = np.eye(2)
@@ -72,13 +72,9 @@ def choi_from_isometry(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2 or w.shape[1] != 2 or w.shape[0] % 4:
         raise DomainError(f"expected a (4*env, 2) isometry, got {w.shape}")
     env = w.shape[0] // 4
-    kraus = w.reshape(4, env, 2)
-    chi = np.zeros((8, 8), dtype=complex)
-    for e in range(env):
-        # |v> = sum_i |i> (x) K_e |i>, laid out as index 4*i + out
-        v = kraus[:, e, :].T.reshape(-1)
-        chi += np.outer(v, v.conj())
-    return chi
+    # column e is |v_e> = sum_i |i> (x) K_e |i>, laid out as index 4*i + out
+    v = w.reshape(4, env, 2).transpose(2, 0, 1).reshape(8, env)
+    return v @ v.conj().T
 
 
 def choi_from_params(p: ClonerParams) -> np.ndarray:
@@ -91,21 +87,20 @@ def choi_from_params(p: ClonerParams) -> np.ndarray:
     return choi_from_isometry(clone_isometry(p))
 
 
-def trace_out_clones(chi: np.ndarray) -> np.ndarray:
-    """Partial trace over both clone factors; identity for a CPTP Choi."""
-    return np.einsum("imjm->ij", np.asarray(chi).reshape(2, 4, 2, 4))
+# Largest entry of |M - M^dag| that still counts as Hermitian.
+_HERMITIAN_TOL = 1e-10
 
 
-def _hermitian_8x8(m, name: str, tol: float = 1e-10) -> np.ndarray:
+def _hermitian_8x8(m, name: str) -> np.ndarray:
     """``m`` as an array, checked to be a finite Hermitian 8x8 operator."""
     m = np.asarray(m)
     if m.shape != (8, 8):
         raise DomainError(f"{name} must be 8x8, got shape {m.shape}")
-    # NaN compares false with tol, so a non-finite entry must be caught first
+    # NaN compares false with the tolerance, so catch a non-finite entry first
     if not np.all(np.isfinite(m)):
         raise DomainError(f"{name} has a non-finite entry")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
+    if dev > _HERMITIAN_TOL:
         raise NonHermitianError(f"{name} deviates from Hermitian by {dev:.3e}")
     return m
 
@@ -118,28 +113,6 @@ def choi_fidelity(chi: np.ndarray, r: np.ndarray) -> float:
     if abs(val.imag) > 1e-12:
         raise NonHermitianError(f"fidelity trace has imaginary part {val.imag:.3e}")
     return float(val.real)
-
-
-def random_cptp(seed: int, env_dim: int = 1) -> np.ndarray:
-    """Choi of a Haar-random channel: isometry C^2 -> C^4 (x) C^(2 env_dim).
-
-    env_dim=1 reproduces the cloner's own shape (three-qubit isometry, the
-    ancilla qubit traced out, Kraus rank 2); env_dim=4 reaches full rank 8.
-    The isometry is the Gram-Schmidt Q factor, diag(R) > 0, of a complex
-    Gaussian matrix (:func:`_haar_columns`), which makes it Haar uniform;
-    deterministic per seed, and exactly sample 0 of
-    :func:`max_sampled_fidelity` with the same seed.
-    """
-    _check_env_dims((env_dim,))
-    z = np.random.default_rng(seed).standard_normal((1, 32 * env_dim))
-    re, im = _haar_columns(z, env_dim)[0]
-    return choi_from_isometry((re + 1j * im).T)
-
-
-def _check_env_dims(env_dims) -> None:
-    """Environment sizes of the Haar sweep: at least one, each in 1..4."""
-    if not env_dims or any(e not in (1, 2, 3, 4) for e in env_dims):
-        raise DomainError(f"environment sizes must be in 1..4, got {env_dims}")
 
 
 def _haar_columns(z: np.ndarray, env: int) -> np.ndarray:
@@ -184,18 +157,18 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
     environment size reads the same rows.  An (8 env, 2) isometry is the
     Gram-Schmidt Q factor, diag(R) > 0, of the complex Gaussian matrix whose
     real part is the row's first 16 env entries and whose imaginary part is
-    the next 16 env (:func:`_haar_columns`), the order :func:`random_cptp`
-    draws them in, so sample 0 is exactly ``random_cptp(seed, env)`` for
-    every ``env``.  R must be a Hermitian 8x8 operator; it enters through its
-    real 16x16 form, so Im R counts.  Samples are processed in chunks of
-    ``_HAAR_CHUNK`` rows with one contraction per environment size; the
-    rows are drawn in order and the maximum is a pure reduction, so the
-    result does not depend on ``_HAAR_CHUNK``.
+    the next 16 env (:func:`_haar_columns`).  R must be a Hermitian 8x8
+    operator; it enters through its real 16x16 form, so Im R counts.
+    Samples are processed in chunks of ``_HAAR_CHUNK`` rows with one
+    contraction per environment size; the rows are drawn in order and the
+    maximum is a pure reduction, so the result does not depend on
+    ``_HAAR_CHUNK``.
     """
     r = _hermitian_8x8(r, "merit operator")
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    _check_env_dims(env_dims)
+    if not env_dims or any(e not in (1, 2, 3, 4) for e in env_dims):
+        raise DomainError(f"environment sizes must be in 1..4, got {env_dims}")
     # v^dag R v = [Re v; Im v]^T [[Re R, -Im R], [Im R, Re R]] [Re v; Im v]
     r16 = np.block([[r.real, -r.imag], [r.imag, r.real]])
     rng = np.random.default_rng(seed)
@@ -225,7 +198,7 @@ def dual_certificate(r: np.ndarray, params: ClonerParams) -> tuple[float, float]
     ancilla size.  At the optimum Tr Y = Tr(chi R) and lambda_min = 0.
     """
     r = _hermitian_8x8(r, "merit operator")
-    y = trace_out_clones(r @ choi_from_params(params))
+    y = partial_trace(r @ choi_from_params(params), {1})
     y = 0.5 * (y + y.conj().T)
     lam = float(np.linalg.eigvalsh(np.kron(y, np.eye(4)) - r)[0])
     return float(np.trace(y).real), lam

@@ -15,7 +15,7 @@ gates form the fixed mirror-symmetric cloning circuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Gate", "Circuit", "build_circuit", "gate_matrix", "circuit_unitary",
+    "Gate", "build_circuit", "gate_matrix", "circuit_unitary",
 ]
 
 KINDS = ("Ry", "CRy", "CNOT", "CH", "X")
@@ -66,21 +66,11 @@ class Gate:
         }
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate list; gates[0] is applied first."""
-
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
-
-    def as_dicts(self) -> list[dict]:
-        return [g.as_dict() for g in self.gates]
-
-
-def build_circuit(p: ClonerParams) -> Circuit:
-    """Gate realisation of the cloner, in application order."""
+def build_circuit(p: ClonerParams) -> tuple[Gate, ...]:
+    """Gate realisation of the cloner; the first gate is applied first."""
     phi = 2 * (p.alpha_minus - p.alpha_plus)
     omega = 2 * p.alpha_plus
-    return Circuit(gates=(
+    return (
         Gate("CRy", 3, control=1, param=phi),
         Gate("Ry", 3, param=omega),
         Gate("CH", 2, control=3),
@@ -88,7 +78,7 @@ def build_circuit(p: ClonerParams) -> Circuit:
         Gate("CNOT", 1, control=2),
         Gate("CNOT", 2, control=3),
         Gate("X", 3),
-    ))
+    )
 
 
 # The matrix view below is the only numpy user in this module; it imports
@@ -121,11 +111,11 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return kron3(idle) + kron3(act)
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
+def circuit_unitary(gates: tuple[Gate, ...]) -> np.ndarray:
     """Ordered product of the gate matrices (first gate rightmost)."""
     import numpy as np
 
     u = np.eye(8, dtype=complex)
-    for g in c.gates:
+    for g in gates:
         u = gate_matrix(g) @ u
     return u

@@ -132,8 +132,11 @@ def render_json(obj, indent: int = 0) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -282,7 +285,7 @@ def cmd_circuit(args) -> int:
     d = parse_dist(args.dist)
     m = dist_mod.moments(d)
     p = optimal_angles(m)
-    circ = circuit_mod.build_circuit(p)
+    gates = circuit_mod.build_circuit(p)
     report = {
         "distribution": dist_mod.spec_string(d),
         "alpha_plus": p.alpha_plus,
@@ -290,7 +293,7 @@ def cmd_circuit(args) -> int:
         "regime": p.regime.value,
         "omega": 2 * p.alpha_plus,
         "Phi": 2 * (p.alpha_minus - p.alpha_plus),
-        "gates": circ.as_dicts(),
+        "gates": [g.as_dict() for g in gates],
     }
     _emit(render_json(report), args.out)
     return EXIT_OK

@@ -296,9 +296,10 @@ class Tabulated(AxisDistribution):
         if abs(top * area - 1.0) > 1e-3:
             # level 2 is the dataclass-generated __init__, whose file is
             # "<string>"; level 3 is the code that built the table
+            where = "" if self.source is None else f" {self.source!r}"
             warnings.warn(
-                f"tabulated density integrates to {top * area:.6g}; renormalising",
-                stacklevel=3)
+                f"tabulated density{where} integrates to {top * area:.6g}; "
+                "renormalising", stacklevel=3)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", tuple(g / area for g in gs))
 

@@ -28,8 +28,8 @@ from .errors import InfeasibleMomentsError
 
 __all__ = [
     "Regime", "ClonerParams", "optimal_angles",
-    "single_copy_fidelity", "average_fidelity", "fidelity_from_angles",
-    "numeric_optimum", "uc_params", "pcc_params", "UC_ALPHA",
+    "single_copy_fidelity", "average_fidelity", "numeric_optimum",
+    "uc_params", "pcc_params", "UC_ALPHA",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -57,16 +57,6 @@ class ClonerParams:
     gamma: float
     omega_value: float
     regime: Regime
-
-    @property
-    def alpha_sum(self) -> float:
-        return self.alpha_plus + self.alpha_minus
-
-    @classmethod
-    def from_angles(cls, alpha_plus: float, alpha_minus: float) -> "ClonerParams":
-        """Wrap an arbitrary angle pair (for simulation and sampling tests)."""
-        return cls(alpha_plus, alpha_minus, 0.0,
-                   math.sin(alpha_plus + alpha_minus), Regime.INTERIOR)
 
 
 def _omega(a1: float, a2: float, prod: float) -> float:
@@ -103,14 +93,9 @@ def _fidelity(m, alpha_plus, alpha_minus, cos, sin):
            + 2 * SQRT2 * sin(alpha_plus + alpha_minus)) * s)
 
 
-def fidelity_from_angles(m, alpha_plus: float, alpha_minus: float) -> float:
-    """Ensemble-average single-copy fidelity for an explicit angle pair."""
-    return _fidelity(m, alpha_plus, alpha_minus, math.cos, math.sin)
-
-
 def average_fidelity(m, p: ClonerParams) -> float:
     """Ensemble-average single-copy fidelity of the cloner ``p``."""
-    return float(fidelity_from_angles(m, p.alpha_plus, p.alpha_minus))
+    return float(_fidelity(m, p.alpha_plus, p.alpha_minus, math.cos, math.sin))
 
 
 def single_copy_fidelity(theta: float, p: ClonerParams) -> float:
@@ -133,9 +118,18 @@ def uc_params() -> ClonerParams:
 
 def pcc_params(upper: bool = True) -> ClonerParams:
     """One of the two boundary cloners, as a standalone parameter set."""
+    return _boundary(upper, math.inf if upper else -math.inf, math.nan)
+
+
+def _boundary(upper: bool, gamma: float, omega: float) -> ClonerParams:
+    """Boundary cloner (0, pi/2) if ``upper`` else (pi/2, 0), with diagnostics.
+
+    Built directly: ``dataclasses.replace`` of a ``pcc_params`` result costs
+    about 3 us, which makes a boundary-regime ``optimal_angles`` 1.6x slower.
+    """
     if upper:
-        return ClonerParams(0.0, math.pi / 2, math.inf, math.nan, Regime.PCC_UPPER)
-    return ClonerParams(math.pi / 2, 0.0, -math.inf, math.nan, Regime.PCC_LOWER)
+        return ClonerParams(0.0, math.pi / 2, gamma, omega, Regime.PCC_UPPER)
+    return ClonerParams(math.pi / 2, 0.0, gamma, omega, Regime.PCC_LOWER)
 
 
 def optimal_angles(m) -> ClonerParams:
@@ -150,10 +144,7 @@ def optimal_angles(m) -> ClonerParams:
         if abs(a1) > 0.5:
             # point mass at a pole: clone that pole exactly;
             # gamma set to its directional limit sqrt(2)/a1 along deltas
-            g = math.copysign(SQRT2, a1)
-            if a1 > 0:
-                return ClonerParams(0.0, math.pi / 2, g, math.nan, Regime.PCC_UPPER)
-            return ClonerParams(math.pi / 2, 0.0, g, math.nan, Regime.PCC_LOWER)
+            return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
         # equatorial limit a1 -> 0, a2 -> -1/2: cancel (1 + 2 a2) against
         # sqrt(x+ x-); feasibility forces 1 + 2 a2 >= 0 so the sign is +
         rad = 3 + 4 * a2 * a2 - 4 * a2
@@ -173,8 +164,8 @@ def optimal_angles(m) -> ClonerParams:
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
     if abs(g) >= 1.0:
         omega = _omega(a1, a2, prod)
-        upper = ClonerParams(0.0, math.pi / 2, g, omega, Regime.PCC_UPPER)
-        lower = ClonerParams(math.pi / 2, 0.0, g, omega, Regime.PCC_LOWER)
+        upper = _boundary(True, g, omega)
+        lower = _boundary(False, g, omega)
         if average_fidelity(m, upper) >= average_fidelity(m, lower):
             return upper
         return lower

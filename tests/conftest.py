@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
-                      HenyeyGreenstein, MomentPair, Uniform, VonMisesFisher,
-                      average_fidelity, build_merit, choi_from_params, moments,
-                      optimal_angles)
-from axiclone.choi import trace_out_clones
+                      HenyeyGreenstein, MomentPair, Regime, Uniform,
+                      VonMisesFisher, average_fidelity, build_merit,
+                      choi_from_params, moments, optimal_angles, partial_trace)
 
 from oracles import primal_sdp_max
 
@@ -19,10 +18,20 @@ def random_feasible_moments(rng) -> MomentPair:
     return MomentPair(a1, a2)
 
 
+def angle_params(alpha_plus: float, alpha_minus: float) -> ClonerParams:
+    """The cloner of an arbitrary angle pair, for simulation and sampling.
+
+    Its diagnostics are placeholders (Gamma = 0, Omega = sin(alpha+ + alpha-),
+    regime Interior): no ensemble selected these angles.
+    """
+    return ClonerParams(alpha_plus, alpha_minus, 0.0,
+                        math.sin(alpha_plus + alpha_minus), Regime.INTERIOR)
+
+
 def random_params(rng) -> ClonerParams:
     """A cloner with both angles drawn uniformly from [0, pi/2]."""
     ap, am = rng.uniform(0, math.pi / 2, 2)
-    return ClonerParams.from_angles(float(ap), float(am))
+    return angle_params(float(ap), float(am))
 
 
 def random_distribution(rng, density_only: bool = False):
@@ -61,7 +70,7 @@ def assert_primal_optimum(dist, pinned: bool = True):
     assert abs(f - f_opt) <= 1e-10
     assert np.abs(chi - chi.T).max() <= 1e-12
     assert np.linalg.eigvalsh(chi).min() >= -1e-12
-    assert np.abs(trace_out_clones(chi) - np.eye(2)).max() <= 1e-13
+    assert np.abs(partial_trace(chi, {1}) - np.eye(2)).max() <= 1e-13
     if pinned:
         assert np.linalg.norm(chi - choi_from_params(p)) <= 1e-8
     return f, chi

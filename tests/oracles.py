@@ -11,8 +11,9 @@ form, so its optimum checks the analytic cloner from the primal side, as the
 dual certificate checks it from the other.  The Haar loop is the
 one-sample-at-a-time sweep the batched :func:`axiclone.max_sampled_fidelity`
 must reproduce exactly: row k of one ``default_rng(seed)`` stream, one
-Gram-Schmidt step, diag(R) > 0, per environment, written out on 1-D arrays,
-so sample 0 is exactly ``random_cptp``.  The LAPACK QR and
+Gram-Schmidt step, diag(R) > 0, per environment, written out on 1-D arrays;
+its sample 0 is :func:`haar_isometry`, whose channel :func:`random_cptp`
+gives the tests a Haar-random CPTP map per seed.  The LAPACK QR and
 complex-contraction path it replaced is kept as an independent reference,
 equal to rounding.  The merit kernel, the merit integrand built from
 explicit pure states and summed over a 16-point azimuth grid, is the
@@ -32,8 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from axiclone import (DomainError, MomentPair, UnsupportedKindError,
-                      VonMisesFisher, moments, optimal_angles)
-from axiclone.choi import _hermitian_8x8, trace_out_clones
+                      VonMisesFisher, moments, optimal_angles, partial_trace)
+from axiclone.choi import _hermitian_8x8, choi_from_isometry
 
 
 class QuadratureError(ArithmeticError):
@@ -325,10 +326,21 @@ def _gram_schmidt(row: np.ndarray, env: int):
 
 
 def haar_isometry(seed: int, env_dim: int) -> np.ndarray:
-    """The isometry behind ``random_cptp(seed, env_dim)``, drawn on its own."""
+    """Haar isometry C^2 -> C^(8 env_dim) of row 0 of ``default_rng(seed)``."""
     row = np.random.default_rng(seed).standard_normal(32 * env_dim)
     x0, x1, y0, y1 = _gram_schmidt(row, env_dim)
     return np.stack([x0 + 1j * y0, x1 + 1j * y1], axis=1)
+
+
+def random_cptp(seed: int, env_dim: int = 1) -> np.ndarray:
+    """Choi of a Haar-random channel: isometry C^2 -> C^4 (x) C^(2 env_dim).
+
+    env_dim=1 reproduces the cloner's own shape (three-qubit isometry, the
+    ancilla qubit traced out, Kraus rank 2); env_dim=4 reaches full rank 8.
+    Deterministic per seed, and the channel of sample 0 of
+    :func:`axiclone.max_sampled_fidelity` with the same seed.
+    """
+    return choi_from_isometry(haar_isometry(seed, env_dim))
 
 
 def row_fidelity(r: np.ndarray, row: np.ndarray, env: int) -> float:
@@ -350,7 +362,7 @@ def sampled_fidelity_loop(r: np.ndarray, n_samples: int, seed: int = 0,
     from one ``default_rng(seed)``; environment size env reads its first
     16 env entries as the real part and the next 16 env as the imaginary
     part.  Each isometry is one Gram-Schmidt step, diag(R) > 0, so sample 0
-    is exactly ``random_cptp(seed, env)``.
+    is exactly ``haar_isometry(seed, env)``.
     """
     rng = np.random.default_rng(seed)
     best = -math.inf
@@ -420,7 +432,7 @@ def primal_sdp_max(r: np.ndarray) -> tuple[float, np.ndarray]:
             if dec < 1e-10:
                 break
             l = l @ np.linalg.cholesky(eye + s / (1 + math.sqrt(dec)))
-            w, v = np.linalg.eigh(trace_out_clones(l @ l.T))
+            w, v = np.linalg.eigh(partial_trace(l @ l.T, {1}))
             l = np.kron((v / np.sqrt(w)) @ v.T, np.eye(4)) @ l
         else:
             raise ArithmeticError(f"Newton centring stalled at t = {t:.3g}")

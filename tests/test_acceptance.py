@@ -9,15 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from axiclone import (Brosseau, Circuit, ClonerParams, Delta, DeltaPair,
-                      PureQubit, Regime, Uniform, VonMisesFisher,
-                      average_fidelity, build_circuit, build_merit,
-                      choi_fidelity, choi_from_params, circuit_unitary,
-                      clone_fidelity_sim, clone_isometry, dual_certificate,
-                      max_sampled_fidelity, moments, optimal_angles,
-                      pcc_params, single_copy_fidelity)
+from axiclone import (Brosseau, Delta, DeltaPair, PureQubit, Regime,
+                      Uniform, VonMisesFisher, average_fidelity,
+                      build_circuit, build_merit, choi_fidelity,
+                      choi_from_params, circuit_unitary, clone_fidelity_sim,
+                      clone_isometry, dual_certificate, max_sampled_fidelity,
+                      moments, optimal_angles, pcc_params,
+                      single_copy_fidelity)
 
-from conftest import assert_primal_optimum, random_params
+from conftest import angle_params, assert_primal_optimum, random_params
 from oracles import (density, integrate_marginal, quadrature_moments,
                      vmf_kappa_threshold)
 
@@ -173,10 +173,10 @@ def test_criterion_08_circuit_equivalence():
         assert np.linalg.norm(u[:, [0b000, 0b100]] - v) <= 1e-12
     for _ in range(10):
         alpha = float(rng.uniform(0, math.pi / 2))
-        p = ClonerParams.from_angles(alpha, alpha)
+        p = angle_params(alpha, alpha)
         circ = build_circuit(p)
-        assert circ.gates[0].kind == "CRy" and circ.gates[0].param == 0.0
-        trimmed = Circuit(gates=circ.gates[1:])
+        assert circ[0].kind == "CRy" and circ[0].param == 0.0
+        trimmed = circ[1:]
         du = circuit_unitary(circ)[:, [0b000, 0b100]]
         dt = circuit_unitary(trimmed)[:, [0b000, 0b100]]
         assert np.linalg.norm(du - dt) <= 1e-12

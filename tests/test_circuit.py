@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from axiclone import (Circuit, ClonerParams, DomainError, Gate, MomentPair,
-                      build_circuit, circuit_unitary, clone_isometry,
-                      gate_matrix, optimal_angles, pcc_params,
-                      single_copy_fidelity, uc_params)
-from conftest import random_params
+from axiclone import (DomainError, Gate, MomentPair, build_circuit,
+                      circuit_unitary, clone_isometry, gate_matrix,
+                      optimal_angles, pcc_params, single_copy_fidelity,
+                      uc_params)
+from conftest import angle_params, random_params
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,25 +60,25 @@ class TestGateMatrices:
 
 class TestBuildCircuit:
     def test_gate_sequence_and_angles(self):
-        p = ClonerParams.from_angles(0.3, 1.1)
+        p = angle_params(0.3, 1.1)
         circ = build_circuit(p)
-        kinds = [g.kind for g in circ.gates]
+        kinds = [g.kind for g in circ]
         assert kinds == ["CRy", "Ry", "CH", "CNOT", "CNOT", "CNOT", "X"]
-        assert circ.gates[0].param == pytest.approx(2 * (1.1 - 0.3))
-        assert circ.gates[0].control == 1 and circ.gates[0].target == 3
-        assert circ.gates[1].param == pytest.approx(2 * 0.3)
-        assert (circ.gates[2].control, circ.gates[2].target) == (3, 2)
-        assert (circ.gates[3].control, circ.gates[3].target) == (1, 3)
-        assert (circ.gates[4].control, circ.gates[4].target) == (2, 1)
-        assert (circ.gates[5].control, circ.gates[5].target) == (3, 2)
+        assert circ[0].param == pytest.approx(2 * (1.1 - 0.3))
+        assert circ[0].control == 1 and circ[0].target == 3
+        assert circ[1].param == pytest.approx(2 * 0.3)
+        assert (circ[2].control, circ[2].target) == (3, 2)
+        assert (circ[3].control, circ[3].target) == (1, 3)
+        assert (circ[4].control, circ[4].target) == (2, 1)
+        assert (circ[5].control, circ[5].target) == (3, 2)
 
     def test_mirror_case_has_zero_controlled_angle(self):
-        p = ClonerParams.from_angles(0.7, 0.7)
-        assert build_circuit(p).gates[0].param == 0.0
+        p = angle_params(0.7, 0.7)
+        assert build_circuit(p)[0].param == 0.0
 
     def test_json_export_shape(self):
         circ = build_circuit(uc_params())
-        dicts = circ.as_dicts()
+        dicts = [g.as_dict() for g in circ]
         assert all(set(d) == {"kind", "params", "control", "target"} for d in dicts)
         assert dicts[0]["params"] == [0.0]
         assert dicts[-1] == {"kind": "X", "params": [], "control": None, "target": 3}
@@ -86,14 +86,14 @@ class TestBuildCircuit:
 
 class TestCircuitUnitary:
     def test_empty_circuit_is_identity(self):
-        assert np.array_equal(circuit_unitary(Circuit()), np.eye(8))
+        assert np.array_equal(circuit_unitary(()), np.eye(8))
 
     def test_unitary(self, rng):
         u = circuit_unitary(build_circuit(random_params(rng)))
         assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-12
 
     def test_zero_angles_copy_branch(self):
-        u = circuit_unitary(build_circuit(ClonerParams.from_angles(0.0, 0.0)))
+        u = circuit_unitary(build_circuit(angle_params(0.0, 0.0)))
         state = u[:, 0b000]
         expected = np.zeros(8)
         expected[0b001] = 1.0
@@ -122,9 +122,9 @@ class TestCircuitUnitary:
     def test_mirror_reduction_drops_controlled_rotation(self, rng):
         for _ in range(10):
             alpha = float(rng.uniform(0, math.pi / 2))
-            p = ClonerParams.from_angles(alpha, alpha)
+            p = angle_params(alpha, alpha)
             full = build_circuit(p)
-            trimmed = Circuit(gates=full.gates[1:])
+            trimmed = full[1:]
             du = input_columns(circuit_unitary(full))
             dt = input_columns(circuit_unitary(trimmed))
             assert np.linalg.norm(du - dt) <= 1e-12

@@ -264,6 +264,16 @@ class TestParamsCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_is_parse_error(self, capsys, tmp_path, target):
+        # a missing directory, or a directory itself, cannot take the report
+        out = str(tmp_path / target)
+        code, stdout, err = run_cli(capsys, "params", "--dist", "uniform",
+                                    "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out!r}: ")
+        assert err.count("\n") == 1
+
     def test_underflowing_polarization(self, capsys):
         # P^2 underflows to zero; the moments are those of the uniform ring
         code, out, err = run_cli(capsys, "params", "--dist", "brosseau:P=1e-300,mu=0")

@@ -345,6 +345,14 @@ class TestTabulated:
             load_tabulated(str(path))
         assert [w.filename for w in record] == [dist_mod.__file__]
 
+    def test_renormalisation_warning_names_the_table(self, tmp_path):
+        # with several tables, the path tells which one was renormalised
+        path = tmp_path / "double.csv"
+        path.write_text("-1,1\n1,1\n")
+        with pytest.warns(UserWarning, match="renormalising") as record:
+            load_tabulated(str(path))
+        assert [repr(str(path)) in str(w.message) for w in record] == [True]
+
     def test_moments_match_quadrature(self):
         xs = tuple(np.linspace(-1, 1, 41))
         gs = tuple(0.5 * (1 + 0.4 * x) for x in xs)

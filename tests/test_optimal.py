@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Brosseau, ClonerParams, DeltaPair,
-                      InfeasibleMomentsError, MomentPair, Regime, UC_ALPHA,
-                      VonMisesFisher, average_fidelity, fidelity_from_angles,
-                      moments, numeric_optimum, optimal_angles, pcc_params,
-                      single_copy_fidelity, uc_params)
-from conftest import random_distribution, random_feasible_moments
+from axiclone import (Brosseau, DeltaPair, InfeasibleMomentsError,
+                      MomentPair, Regime, UC_ALPHA, VonMisesFisher,
+                      average_fidelity, moments, numeric_optimum,
+                      optimal_angles, pcc_params, single_copy_fidelity,
+                      uc_params)
+from conftest import (angle_params, random_distribution,
+                      random_feasible_moments)
 from oracles import density, integrate_marginal, vmf_kappa_threshold
 
 SQRT2 = math.sqrt(2.0)
@@ -88,7 +89,8 @@ class TestOptimalAngles:
                 continue
             seen += 1
             assert abs(p.gamma) < 1
-            assert math.sin(p.alpha_sum) == pytest.approx(p.omega_value, abs=1e-12)
+            assert math.sin(p.alpha_plus + p.alpha_minus) == pytest.approx(
+                p.omega_value, abs=1e-12)
 
     def test_boundary_regimes_have_large_gamma(self, rng):
         seen = 0
@@ -127,7 +129,7 @@ class TestSingleCopyFidelity:
     def test_range(self, rng):
         for _ in range(40):
             ap, am = rng.uniform(0, math.pi / 2, 2)
-            p = ClonerParams.from_angles(float(ap), float(am))
+            p = angle_params(float(ap), float(am))
             for theta in np.linspace(0, math.pi, 21):
                 f = single_copy_fidelity(float(theta), p)
                 assert 0.5 - 1e-12 <= f <= 1 + 1e-12
@@ -162,7 +164,7 @@ class TestAverageFidelity:
             dist = random_distribution(rng, density_only=True)
             m = moments(dist)
             ap, am = rng.uniform(0, math.pi / 2, 2)
-            p = ClonerParams.from_angles(float(ap), float(am))
+            p = angle_params(float(ap), float(am))
 
             def integrand(x):
                 thetas = np.arccos(np.clip(x, -1, 1))

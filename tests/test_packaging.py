@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
+import axiclone
 from axiclone import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,3 +124,24 @@ def test_each_command_takes_only_its_own_options():
     for name, parser in sub.choices.items():
         options = {s for a in parser._actions for s in a.option_strings}
         assert options - {"-h", "--help"} == {"--dist", "--out"} | own[name], name
+
+
+def test_package_exports_only_what_its_callers_read():
+    # the commands, the benchmark and the README read these names; a helper
+    # only tests call lives in tests/, so adding one here must fail
+    exported = {name for name in dir(axiclone) if not name.startswith("_")
+                and not isinstance(getattr(axiclone, name), types.ModuleType)}
+    assert exported == {
+        "AxisDistribution", "Belt", "Brosseau", "CloneError", "ClonerParams",
+        "Delta", "DeltaPair", "DomainError", "Gate", "HenyeyGreenstein",
+        "InfeasibleMomentsError", "MomentPair", "NonHermitianError",
+        "ParseError", "PureQubit", "Regime", "Tabulated", "UC_ALPHA",
+        "Uniform", "UnsupportedKindError", "VonMisesFisher", "apply_clone",
+        "average_fidelity", "build_circuit", "build_merit", "choi_fidelity",
+        "choi_from_params", "circuit_unitary", "clone_fidelity_sim",
+        "clone_isometry", "dual_certificate", "gate_matrix", "load_tabulated",
+        "max_sampled_fidelity", "moments", "numeric_optimum",
+        "optimal_angles", "optimality_report", "partial_trace", "pcc_params",
+        "single_copy_fidelity", "spec_string", "uc_params",
+        "validate_moments",
+    }
