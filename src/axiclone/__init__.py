@@ -7,10 +7,11 @@ exactly on three qubits, certifies against every CPTP map with an exact
 semidefinite dual bound and against Haar-random maps, and compiles to a small
 quantum circuit.
 
-Importing the package loads no numpy: the closed form, the moments and the
-gate list are scalar math.  The numpy-backed names of ``qsim`` and ``choi``
-are resolved on first access, and ``circuit_unitary`` / ``gate_matrix``
-import numpy when first called.
+Importing the package loads no numpy: the closed form, the moments, the
+gate list and the three-qubit simulation are scalar math.  The names of
+``qsim`` and ``choi`` are resolved on first access; only ``choi``, the
+certificate behind ``verify``, imports numpy, and ``circuit_unitary`` /
+``gate_matrix`` import it when first called.
 """
 
 import importlib
@@ -28,13 +29,14 @@ from .circuit import Gate, build_circuit, circuit_unitary, gate_matrix
 
 __version__ = "0.1.0"
 
-# name -> submodule of each numpy-backed name, imported on first access
+# name -> submodule of each name imported on first access: choi loads
+# numpy, and only simulate and verify read qsim and choi
 _LAZY = {name: module for module, names in (
     ("qsim", ("PureQubit", "apply_clone", "clone_fidelity_sim",
-              "clone_isometry", "partial_trace")),
+              "clone_isometry")),
     ("choi", ("build_merit", "choi_fidelity", "choi_from_params",
               "dual_certificate", "max_sampled_fidelity",
-              "optimality_report")),
+              "optimality_report", "partial_trace")),
 ) for name in names}
 
 

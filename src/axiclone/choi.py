@@ -35,12 +35,12 @@ import numpy as np
 from .dist import AxisDistribution, moments
 from .errors import DomainError, NonHermitianError
 from .optimal import ClonerParams, average_fidelity, optimal_angles
-from .qsim import clone_isometry, partial_trace
+from .qsim import clone_isometry
 
 __all__ = [
     "build_merit", "choi_from_params", "choi_fidelity",
     "dual_certificate", "max_sampled_fidelity", "optimality_report",
-    "choi_from_isometry",
+    "choi_from_isometry", "partial_trace",
 ]
 
 _I2 = np.eye(2)
@@ -66,6 +66,30 @@ def _merit(a1: float, a2: float) -> np.ndarray:
                for c, a, b in terms) / 8
 
 
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Trace out all qubits not in ``keep`` (1-based indices).
+
+    Works for any square density matrix on 1..3 qubits.
+    """
+    rho = np.asarray(rho)
+    dim = rho.shape[0]
+    n = int(round(math.log2(dim)))
+    if rho.shape != (dim, dim) or 2 ** n != dim:
+        raise DomainError(f"expected a 2^n x 2^n matrix, got {rho.shape}")
+    kept = sorted(set(int(k) for k in keep))
+    if not kept or any(k < 1 or k > n for k in kept):
+        raise DomainError(f"keep={keep!r} is not a non-empty subset of 1..{n}")
+    if len(kept) == n:
+        return rho.copy()
+    t = rho.reshape([2] * (2 * n))
+    row = list(range(n))
+    col = [n + i if (i + 1) in kept else i for i in range(n)]
+    out = [i for i in range(n) if (i + 1) in kept] + \
+          [n + i for i in range(n) if (i + 1) in kept]
+    d = 2 ** len(kept)
+    return np.einsum(t, row + col, out).reshape(d, d)
+
+
 def choi_from_isometry(w: np.ndarray) -> np.ndarray:
     """Choi matrix of X -> Tr_env(W X W^dag) for an isometry W: C^2 -> C^4 (x) env."""
     w = np.asarray(w, dtype=complex)
@@ -84,7 +108,7 @@ def choi_from_params(p: ClonerParams) -> np.ndarray:
     ancilla as the fastest axis, which is the environment layout
     choi_from_isometry expects.
     """
-    return choi_from_isometry(clone_isometry(p))
+    return choi_from_isometry(np.array(clone_isometry(p), dtype=complex))
 
 
 # Largest entry of |M - M^dag| that still counts as Hermitian.

@@ -13,9 +13,12 @@ error, 2 numeric failure, 3 optimality violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
+import warnings
 from dataclasses import fields, replace
 
 from . import circuit as circuit_mod
@@ -128,6 +131,23 @@ def render_json(obj, indent: int = 0) -> str:
     # backslashreplace writes it as its \udcXX JSON escape instead
     text = json.dumps(str(obj), ensure_ascii=False)
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
+def _claim_out(out: str) -> bool:
+    """Check that ``out`` can be written, before any work; True if made here."""
+    made = not os.path.lexists(out)
+    try:
+        # append mode creates a missing file and leaves an existing one as is
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ParseError(f"cannot write {out!r}: {exc.strerror}") from None
+    return made
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One ``warning:`` line on stderr, without the source location."""
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -328,12 +348,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the command; a failed run removes the --out file it made."""
+    made = bool(args.out) and _claim_out(args.out)
+    try:
+        return args.fn(args)
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        with warnings.catch_warnings():
+            # a warning about the input, such as a renormalised table, is
+            # one line in the style of the sweep's warnings
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _show_warning
+            return _run(parser.parse_args(argv))
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

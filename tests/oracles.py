@@ -21,7 +21,9 @@ independent reference for the closed-form :func:`axiclone.build_merit`:
 equal at each latitude and, integrated against a density, equal to
 quadrature accuracy.  The vMF regime threshold is found by bisection on
 Gamma.  The symmetry blocks split an 8x8 operator along the axis-rotation
-and clone-swap symmetry, the structure the dual certificate rests on.
+and clone-swap symmetry, the structure the dual certificate rests on.  The
+array simulation (isometry matrix, ``np.outer`` state and einsum partial
+trace) is the reference the scalar :mod:`axiclone.qsim` must reproduce.
 """
 
 import heapq
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from axiclone import (DomainError, MomentPair, UnsupportedKindError,
-                      VonMisesFisher, moments, optimal_angles, partial_trace)
+from axiclone import (ClonerParams, DomainError, MomentPair,
+                      UnsupportedKindError, VonMisesFisher, moments,
+                      optimal_angles, partial_trace)
 from axiclone.choi import _hermitian_8x8, choi_from_isometry
 
 
@@ -509,3 +512,27 @@ def symmetry_blocks(m: np.ndarray) -> SymmetryBlocks:
         scalars=np.real(np.diagonal(mb)[4:8]).copy(),
         off_block_residual=residual,
     )
+
+
+def simulate_reference(theta: float, phi: float,
+                       p: ClonerParams) -> tuple[np.ndarray, np.ndarray, list]:
+    """Input amplitudes, output state and (F_clone1, F_clone2), on arrays.
+
+    The output is the 8x2 isometry matrix times the input amplitudes; clone
+    i's state is the partial trace of the output projector, and its fidelity
+    is <a| rho_i |a>.
+    """
+    amps = np.array([math.cos(theta / 2),
+                     np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
+    cp, sp = math.cos(p.alpha_plus), math.sin(p.alpha_plus)
+    cm, sm = math.cos(p.alpha_minus), math.sin(p.alpha_minus)
+    v = np.zeros((8, 2), dtype=complex)
+    v[0b001, 0] = cp
+    v[0b010, 0] = v[0b100, 0] = sp / _SQRT2
+    v[0b110, 1] = cm
+    v[0b011, 1] = v[0b101, 1] = sm / _SQRT2
+    out = v @ amps
+    rho = np.outer(out, out.conj())
+    fids = [float(np.real(amps.conj() @ partial_trace(rho, {i}) @ amps))
+            for i in (1, 2)]
+    return amps, out, fids

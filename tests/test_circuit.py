@@ -139,7 +139,7 @@ class TestFidelityThroughCircuit:
             u = circuit_unitary(build_circuit(p))
             for theta in np.linspace(0, math.pi, 9):
                 q = PureQubit(float(theta), 0.35)
-                amps = q.amplitudes()
+                amps = np.asarray(q.amplitudes())
                 state = u @ np.kron(amps, np.array([1, 0, 0, 0], dtype=complex))
                 rho = np.outer(state, state.conj())
                 rho1 = partial_trace(rho, {1})

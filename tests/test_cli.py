@@ -274,6 +274,19 @@ class TestParamsCommand:
         assert err.startswith(f"error: cannot write {out!r}: ")
         assert err.count("\n") == 1
 
+    def test_renormalised_table_warns_in_one_line(self, capsys, tmp_path):
+        # the warning names the table, not the package's source; stdout is
+        # the report of the normalised table
+        unit = tmp_path / "unit.csv"
+        unit.write_text("-1,0.5\n1,0.5\n")
+        double = tmp_path / "double.csv"
+        double.write_text("-1,1\n1,1\n")
+        _, expected, _ = run_cli(capsys, "params", "--dist", f"table:{unit}")
+        code, out, err = run_cli(capsys, "params", "--dist", f"table:{double}")
+        assert (code, out) == (0, expected)
+        assert err == (f"warning: tabulated density {str(double)!r} "
+                       "integrates to 2; renormalising\n")
+
     def test_underflowing_polarization(self, capsys):
         # P^2 underflows to zero; the moments are those of the uniform ring
         code, out, err = run_cli(capsys, "params", "--dist", "brosseau:P=1e-300,mu=0")
@@ -301,6 +314,76 @@ class TestParamsCommand:
         _, out1, _ = run_cli(capsys, "params", "--dist", "brosseau:P=0.6,mu=0.2")
         _, out2, _ = run_cli(capsys, "params", "--dist", "brosseau:P=0.6,mu=0.2")
         assert out1 == out2
+
+
+_COMMAND_ARGS = {
+    "params": (),
+    "sweep": ("--sweep", "kappa=0:1:3"),
+    "simulate": ("--theta", "0.7"),
+    "verify": ("--samples", "5"),
+    "circuit": (),
+}
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch,
+                                                  tmp_path, command):
+        def never(spec):
+            raise AssertionError("the distribution was parsed")
+
+        monkeypatch.setattr(cli, "parse_dist", never)
+        out = str(tmp_path / "missing" / "x.json")
+        code, stdout, err = run_cli(capsys, command, "--dist", "vmf:kappa=1",
+                                    *_COMMAND_ARGS[command], "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: cannot write {out!r}: "
+                       "No such file or directory\n")
+
+    def test_unwritable_out_skips_the_certificate(self, capsys, monkeypatch,
+                                                  tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("the certificate ran")
+
+        monkeypatch.setattr(choi_mod, "optimality_report", never)
+        out = str(tmp_path / "missing" / "x.json")
+        code, stdout, err = run_cli(capsys, "verify", "--dist", "uniform",
+                                    "--samples", "100000", "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out!r}: ")
+
+    def test_failed_run_leaves_no_new_file(self, capsys, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("-1.0,0.5\n0.0,nan\n1.0,0.5\n")
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, "params", "--dist", f"table:{table}",
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("numeric error: ")
+        assert not out.exists()
+
+    def test_failed_parse_leaves_no_new_file(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "params", "--dist",
+                               f"table:{tmp_path / 'missing.csv'}",
+                               "--out", str(out))
+        assert code == 1 and err.startswith("error: cannot read table")
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_file(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        code, _, _ = run_cli(capsys, "params", "--dist", "uniform",
+                             "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["regime"] == "Interior"
+        out.write_text("earlier report\n")
+        table = tmp_path / "table.csv"
+        table.write_text("-1.0,0.5\n0.0,nan\n1.0,0.5\n")
+        code, _, _ = run_cli(capsys, "params", "--dist", f"table:{table}",
+                             "--out", str(out))
+        assert code == 2
+        assert out.read_text() == "earlier report\n"
 
 
 class TestSimulateCommand:

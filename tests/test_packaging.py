@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -23,9 +24,10 @@ def test_import_does_not_load_scipy():
 
 
 def test_scalar_commands_do_not_load_numpy():
-    # the closed form, the moments and the gate list are scalar math: the
-    # package import and params / circuit / sweep run without numpy, and the
-    # numpy-backed names still resolve on first access
+    # the closed form, the moments, the gate list and the simulation are
+    # scalar math: the package import and params / circuit / sweep /
+    # simulate run without numpy, and the numpy-backed names still resolve
+    # on first access
     code = textwrap.dedent("""
         import sys
         import axiclone
@@ -49,7 +51,9 @@ def test_scalar_commands_do_not_load_numpy():
     assert result.returncode == 0, result.stderr
     for argv in (["params", "--dist", "vmf:kappa=1.5"],
                  ["circuit", "--dist", "uniform"],
-                 ["sweep", "--dist", "hg:h=0", "--sweep", "h=-0.5:0.5:11"]):
+                 ["sweep", "--dist", "hg:h=0", "--sweep", "h=-0.5:0.5:11"],
+                 ["simulate", "--dist", "vmf:kappa=1.5", "--theta", "0.7",
+                  "--phi", "2.1"]):
         # a fresh ``python -m axiclone.cli`` process, as a user runs it;
         # -X importtime lists every module it imports on stderr
         result = subprocess.run(
@@ -61,6 +65,39 @@ def test_scalar_commands_do_not_load_numpy():
                     if line.startswith("import time:")}
         assert "axiclone.optimal" in imported, argv
         assert "numpy" not in imported, f"{argv[0]} loaded numpy"
+
+
+def _module_level_imports(tree: ast.Module) -> set[str]:
+    """Top modules a module imports when it loads.
+
+    An import inside a function, or under ``if TYPE_CHECKING:``, does not run
+    at load time and is not counted.
+    """
+    names: set[str] = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_only_choi_imports_numpy_at_module_level():
+    # the one array layer is the certificate; every other module imports
+    # numpy, if at all, inside the function that needs it
+    loaders = {path.name for path in sorted((SRC / "axiclone").glob("*.py"))
+               if "numpy" in _module_level_imports(
+                   ast.parse(path.read_text(encoding="utf-8")))}
+    assert loaders == {"choi.py"}
 
 
 def test_moments_load_no_polynomial_module_or_integrator():

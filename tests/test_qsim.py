@@ -3,12 +3,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axiclone import (DomainError, MomentPair, PureQubit, apply_clone,
                       clone_fidelity_sim, clone_isometry, optimal_angles,
                       partial_trace, pcc_params, single_copy_fidelity,
                       uc_params)
-from conftest import random_params
+from conftest import angle_params, random_params
+from oracles import simulate_reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,16 +92,16 @@ class TestPureQubit:
 class TestCloneIsometry:
     def test_columns_orthonormal(self, rng):
         for _ in range(50):
-            v = clone_isometry(random_params(rng))
+            v = np.asarray(clone_isometry(random_params(rng)), dtype=complex)
             assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-14
 
     def test_columns_have_disjoint_support(self, rng):
-        v = clone_isometry(random_params(rng))
+        v = np.asarray(clone_isometry(random_params(rng)), dtype=complex)
         overlap = complex(v[:, 0].conj() @ v[:, 1])
         assert overlap == 0
 
     def test_upper_boundary_columns(self):
-        v = clone_isometry(pcc_params(True))
+        v = np.asarray(clone_isometry(pcc_params(True)), dtype=complex)
         expected0 = np.zeros(8)
         expected0[0b001] = 1.0
         assert np.linalg.norm(v[:, 0] - expected0) <= 1e-15
@@ -108,7 +110,7 @@ class TestCloneIsometry:
         assert np.linalg.norm(v[:, 1] - expected1) <= 1e-15
 
     def test_state_independent_column(self):
-        v = clone_isometry(uc_params())
+        v = np.asarray(clone_isometry(uc_params()), dtype=complex)
         expected = np.zeros(8)
         expected[0b001] = math.sqrt(2 / 3)
         expected[0b010] = expected[0b100] = math.sqrt(1 / 6)
@@ -158,7 +160,7 @@ class TestPartialTrace:
         assert np.linalg.norm(partial_trace(rho, {1}) - np.eye(2) / 2) <= 1e-14
 
     def test_trace_preserved(self, rng):
-        out = apply_clone(PureQubit(0.9, 1.3), random_params(rng))
+        out = np.asarray(apply_clone(PureQubit(0.9, 1.3), random_params(rng)))
         rho = np.outer(out, out.conj())
         for keep in ({1}, {2}, {3}, {1, 2}, {2, 3}):
             red = partial_trace(rho, keep)
@@ -171,7 +173,7 @@ class TestPartialTrace:
             theta = float(rng.uniform(0, math.pi))
             phi = float(rng.uniform(0, 2 * math.pi))
             p = random_params(rng)
-            out = apply_clone(PureQubit(theta, phi), p)
+            out = np.asarray(apply_clone(PureQubit(theta, phi), p))
             rho = np.outer(out, out.conj())
             got = partial_trace(rho, {1})
             expected = reduced_clone_closed_form(theta, phi, p)
@@ -183,6 +185,33 @@ class TestPartialTrace:
             partial_trace(rho, set())
         with pytest.raises(DomainError):
             partial_trace(rho, {4})
+
+
+# interior angle pairs, either boundary angle, and the UC and both PCC cloners
+_ALPHA = st.one_of(st.sampled_from([0.0, math.pi / 2]),
+                   st.floats(0.0, math.pi / 2))
+_CLONERS = st.one_of(
+    st.sampled_from([uc_params(), pcc_params(True), pcc_params(False)]),
+    st.builds(angle_params, _ALPHA, _ALPHA))
+_ANGLE = st.floats(-1e3, 1e3)
+
+
+class TestScalarSimulationMatchesArrayReference:
+    @settings(max_examples=500, deadline=None)
+    @given(theta=st.one_of(st.floats(-4 * math.pi, 4 * math.pi), _ANGLE),
+           phi=st.one_of(st.floats(-4 * math.pi, 4 * math.pi), _ANGLE),
+           p=_CLONERS)
+    def test_amplitudes_exact_and_fidelities_to_rounding(self, theta, phi, p):
+        amps, out, fids = simulate_reference(theta, phi, p)
+        q = PureQubit(theta, phi)
+        # repr tells -0.0 from 0.0, so signed zeros must match too
+        assert [repr(a) for a in q.amplitudes()] == [repr(complex(a)) for a in amps]
+        assert [repr(a) for a in apply_clone(q, p)] == [repr(complex(a)) for a in out]
+        closed = single_copy_fidelity(theta, p)
+        for i, f_ref in zip((1, 2), fids):
+            f = clone_fidelity_sim(q, p, i)
+            assert abs(f - f_ref) <= 1e-15
+            assert abs(f - closed) <= 1e-15
 
 
 class TestCloneFidelity:
@@ -257,7 +286,8 @@ class TestFrames:
             f = AxisFrame(float(rng.uniform(0, math.pi)),
                           float(rng.uniform(0, 2 * math.pi)))
             back = rotate_frame(rotate_frame(q, f), f, inverse=True)
-            assert np.linalg.norm(back.amplitudes() - q.amplitudes()) <= 1e-12
+            assert np.linalg.norm(np.asarray(back.amplitudes())
+                                  - np.asarray(q.amplitudes())) <= 1e-12
 
     def test_frame_covariance_of_cloning(self, rng):
         # cloning the frame-relative qubit and rotating the three outputs to
@@ -270,7 +300,7 @@ class TestFrames:
                           float(rng.uniform(0, 2 * math.pi)))
             u = f.matrix()
             u3 = np.kron(np.kron(u, u), u)
-            v = clone_isometry(p)
+            v = np.asarray(clone_isometry(p), dtype=complex)
 
             out_a = u3 @ (v @ rotate_frame(g, f).amplitudes())
             out_b = (u3 @ v @ u.conj().T) @ g.amplitudes()
