@@ -250,11 +250,9 @@ def cmd_sweep(args) -> int:
             d = replace(base, **dict.fromkeys(keys, float(value)))
             m = dist_mod.moments(d)
             p = optimal_angles(m)
-            f_pcc = max(average_fidelity(m, pcc_params(True)),
-                        average_fidelity(m, pcc_params(False)))
             row += [m.a1, m.a2, p.gamma, p.alpha_plus, p.alpha_minus,
-                    average_fidelity(m, p),
-                    average_fidelity(m, uc_params()), f_pcc]
+                    average_fidelity(m, p), average_fidelity(m, uc_params()),
+                    average_fidelity(m, pcc_params(m.a1 >= 0))]
         except CloneError as exc:
             sys.stderr.write(
                 f"warning: {','.join(keys)}={_fmt(float(value))}: {exc}\n")

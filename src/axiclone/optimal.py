@@ -11,9 +11,16 @@ While |Gamma| < 1 the optimum sits in the interior,
     2 alpha_pm = arcsin(Omega) +- arcsin(Gamma),
 
 with Omega the normalised interior stationary value; once |Gamma| >= 1 the
-optimum is one of the two boundary cloners (alpha+, alpha-) = (0, pi/2) or
-(pi/2, 0), whichever averages better.  The arcsin branch is resolved by
-evaluating both candidates, and the removable x+ x- -> 0 singularity at
+optimum is a boundary cloner (alpha+, alpha-) = (0, pi/2) or (pi/2, 0).
+No search picks the branch: with b = arcsin(Omega), d = arcsin(Gamma) and
+m2 = (2 a2 + 1)/3 >= a1^2, the fidelity F(alpha+, alpha-) obeys
+
+    F((b + d)/2, (b - d)/2) - F((pi - b + d)/2, (pi - b - d)/2)
+        = m2 cos(b) cos(d) / 2 >= 0,
+    F(0, pi/2) - F(pi/2, 0) = a1 / 2,
+
+so the principal arcsin branch always wins, and the upper cloner (0, pi/2)
+wins iff a1 >= 0.  The removable x+ x- -> 0 singularity at
 (a1, a2) -> (0, -1/2) is routed through its analytic limit.
 """
 
@@ -100,15 +107,8 @@ def average_fidelity(m, p: ClonerParams) -> float:
 
 def single_copy_fidelity(theta: float, p: ClonerParams) -> float:
     """Clone fidelity for an input at polar angle theta from the axis."""
-    c2 = math.cos(theta / 2) ** 2
-    s2 = math.sin(theta / 2) ** 2
-    sin_sq = math.sin(theta) ** 2
-    ap, am = p.alpha_plus, p.alpha_minus
-    return 0.125 * (
-        2 * (3 + math.cos(2 * ap)) * c2 * c2
-        + 2 * (3 + math.cos(2 * am)) * s2 * s2
-        + (math.sin(ap) ** 2 + math.sin(am) ** 2
-           + 2 * SQRT2 * math.sin(ap + am)) * sin_sq)
+    x = math.cos(theta)  # a ring at theta has the moments (x, P2(x))
+    return average_fidelity((x, (3 * x * x - 1) / 2), p)
 
 
 def uc_params() -> ClonerParams:
@@ -122,11 +122,7 @@ def pcc_params(upper: bool = True) -> ClonerParams:
 
 
 def _boundary(upper: bool, gamma: float, omega: float) -> ClonerParams:
-    """Boundary cloner (0, pi/2) if ``upper`` else (pi/2, 0), with diagnostics.
-
-    Built directly: ``dataclasses.replace`` of a ``pcc_params`` result costs
-    about 3 us, which makes a boundary-regime ``optimal_angles`` 1.6x slower.
-    """
+    """Boundary cloner (0, pi/2) if ``upper`` else (pi/2, 0), with diagnostics."""
     if upper:
         return ClonerParams(0.0, math.pi / 2, gamma, omega, Regime.PCC_UPPER)
     return ClonerParams(math.pi / 2, 0.0, gamma, omega, Regime.PCC_LOWER)
@@ -155,46 +151,31 @@ def optimal_angles(m) -> ClonerParams:
         # the equator, or a ring just off the equator): there |Gamma| -> inf
         # and a boundary cloner wins.  On the equator itself all three tie,
         # so a boundary cloner must win by more than rounding.
-        boundary = max((pcc_params(True), pcc_params(False)),
-                       key=lambda p: average_fidelity(m, p))
+        boundary = pcc_params(a1 >= 0)
         if average_fidelity(m, boundary) > average_fidelity(m, equator) + _TIE_TOL:
             return boundary
         return equator
 
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
-    if abs(g) >= 1.0:
-        omega = _omega(a1, a2, prod)
-        upper = _boundary(True, g, omega)
-        lower = _boundary(False, g, omega)
-        if average_fidelity(m, upper) >= average_fidelity(m, lower):
-            return upper
-        return lower
-
     omega = _omega(a1, a2, prod)
+    if abs(g) >= 1.0:
+        return _boundary(a1 >= 0, g, omega)
+
     # written as "not <=" so that a NaN Omega is rejected too
     if prod <= 0 or not omega <= 1.0 + 1e-9:
         raise InfeasibleMomentsError(
             f"interior stationary value {omega} (x+ x- = {prod:.3e}) at {tuple(m)}")
     omega = min(omega, 1.0)
 
-    asin_o = math.asin(omega)
-    asin_g = math.asin(g)
-    best: ClonerParams | None = None
-    best_f = -math.inf
-    for base in (asin_o, math.pi - asin_o):
-        ap = 0.5 * (base + asin_g)
-        am = 0.5 * (base - asin_g)
-        if not (-1e-12 <= ap <= math.pi / 2 + 1e-12
-                and -1e-12 <= am <= math.pi / 2 + 1e-12):
-            continue
-        ap = min(max(ap, 0.0), math.pi / 2)
-        am = min(max(am, 0.0), math.pi / 2)
-        cand = ClonerParams(ap, am, g, omega, Regime.INTERIOR)
-        f = average_fidelity(m, cand)
-        if f > best_f:
-            best, best_f = cand, f
-    assert best is not None
-    return best
+    b, d = math.asin(omega), math.asin(g)
+    ap, am = 0.5 * (b + d), 0.5 * (b - d)
+    if not (-1e-12 <= ap <= math.pi / 2 + 1e-12
+            and -1e-12 <= am <= math.pi / 2 + 1e-12):
+        raise InfeasibleMomentsError(
+            f"interior angles ({ap}, {am}) outside [0, pi/2] at {tuple(m)}")
+    ap = min(max(ap, 0.0), math.pi / 2)
+    am = min(max(am, 0.0), math.pi / 2)
+    return ClonerParams(ap, am, g, omega, Regime.INTERIOR)
 
 
 def numeric_optimum(m):

@@ -20,10 +20,13 @@ explicit pure states and summed over a 16-point azimuth grid, is the
 independent reference for the closed-form :func:`axiclone.build_merit`:
 equal at each latitude and, integrated against a density, equal to
 quadrature accuracy.  The vMF regime threshold is found by bisection on
-Gamma.  The symmetry blocks split an 8x8 operator along the axis-rotation
-and clone-swap symmetry, the structure the dual certificate rests on.  The
-array simulation (isometry matrix, ``np.outer`` state and einsum partial
-trace) is the reference the scalar :mod:`axiclone.qsim` must reproduce.
+Gamma.  The branch search picks the closed form's arcsin branch and
+boundary side by evaluating each candidate cloner, where the package uses
+two identities instead.  The symmetry blocks split an 8x8 operator along
+the axis-rotation and clone-swap symmetry, the structure the dual
+certificate rests on.  The array simulation (isometry matrix,
+``np.outer`` state and einsum partial trace) is the reference the scalar
+:mod:`axiclone.qsim` must reproduce.
 """
 
 import heapq
@@ -34,10 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from axiclone import (ClonerParams, DomainError, MomentPair,
-                      UnsupportedKindError, VonMisesFisher, moments,
-                      optimal_angles, partial_trace)
+from axiclone import (ClonerParams, DomainError, InfeasibleMomentsError,
+                      MomentPair, Regime, UnsupportedKindError,
+                      VonMisesFisher, average_fidelity, moments,
+                      optimal_angles, partial_trace, pcc_params,
+                      validate_moments)
 from axiclone.choi import _hermitian_8x8, choi_from_isometry
+from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, _boundary,
+                              _omega)
 
 
 class QuadratureError(ArithmeticError):
@@ -458,6 +465,77 @@ def vmf_kappa_threshold() -> float:
         else:
             hi = mid
     return lo
+
+
+def branch_search_angles(m) -> ClonerParams:
+    """The closed-form cloner, its branch found by search.
+
+    Chooses the arcsin branch and the boundary side by evaluating every
+    candidate cloner and keeping the best.  :func:`axiclone.optimal_angles`
+    picks them from two identities of the fidelity formula instead, and must
+    agree with this bit for bit.
+    """
+    m = MomentPair(*m)
+    if not validate_moments(m):
+        raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
+    a1, a2 = m
+    prod = (1 + 2 * a2 + 3 * a1) * (1 + 2 * a2 - 3 * a1)
+
+    if abs(prod) < DEGENERACY_EPS:
+        if abs(a1) > 0.5:
+            # point mass at a pole: clone that pole exactly;
+            # gamma set to its directional limit sqrt(2)/a1 along deltas
+            return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
+        # equatorial limit a1 -> 0, a2 -> -1/2: cancel (1 + 2 a2) against
+        # sqrt(x+ x-); feasibility forces 1 + 2 a2 >= 0 so the sign is +
+        rad = 3 + 4 * a2 * a2 - 4 * a2
+        omega = 2 * SQRT2 * (1 - a2) / math.sqrt(3 * rad)
+        alpha = 0.5 * math.asin(min(omega, 1.0))
+        equator = ClonerParams(alpha, alpha, 0.0, omega, Regime.INTERIOR)
+        # x+ or x- alone can vanish too (E[x^2] = |E[x]|, a pole mixed with
+        # the equator, or a ring just off the equator): there |Gamma| -> inf
+        # and a boundary cloner wins.  On the equator itself all three tie,
+        # so a boundary cloner must win by more than rounding.
+        boundary = max((pcc_params(True), pcc_params(False)),
+                       key=lambda p: average_fidelity(m, p))
+        if average_fidelity(m, boundary) > average_fidelity(m, equator) + _TIE_TOL:
+            return boundary
+        return equator
+
+    g = 6 * SQRT2 * a1 * (a2 - 1) / prod
+    if abs(g) >= 1.0:
+        omega = _omega(a1, a2, prod)
+        upper = _boundary(True, g, omega)
+        lower = _boundary(False, g, omega)
+        if average_fidelity(m, upper) >= average_fidelity(m, lower):
+            return upper
+        return lower
+
+    omega = _omega(a1, a2, prod)
+    # written as "not <=" so that a NaN Omega is rejected too
+    if prod <= 0 or not omega <= 1.0 + 1e-9:
+        raise InfeasibleMomentsError(
+            f"interior stationary value {omega} (x+ x- = {prod:.3e}) at {tuple(m)}")
+    omega = min(omega, 1.0)
+
+    asin_o = math.asin(omega)
+    asin_g = math.asin(g)
+    best: ClonerParams | None = None
+    best_f = -math.inf
+    for base in (asin_o, math.pi - asin_o):
+        ap = 0.5 * (base + asin_g)
+        am = 0.5 * (base - asin_g)
+        if not (-1e-12 <= ap <= math.pi / 2 + 1e-12
+                and -1e-12 <= am <= math.pi / 2 + 1e-12):
+            continue
+        ap = min(max(ap, 0.0), math.pi / 2)
+        am = min(max(am, 0.0), math.pi / 2)
+        cand = ClonerParams(ap, am, g, omega, Regime.INTERIOR)
+        f = average_fidelity(m, cand)
+        if f > best_f:
+            best, best_f = cand, f
+    assert best is not None
+    return best
 
 
 _SQRT2 = math.sqrt(2.0)

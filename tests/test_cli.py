@@ -705,7 +705,7 @@ README_SHA256 = {
     "axiclone sweep --dist brosseau:P=0,mu=0 --sweep P,mu=0:0.95:96 --out tied.csv":
         "31493586ae84ef978830e40ba5ecc489885ef8bcb4ff469b65242a13df7d823c",
     "axiclone simulate --dist uniform --theta 0.7 --phi 2.1":
-        "2900b04249189d20223bc24b9f0259d18fe49dfec9bc3cb7aa92cd573a6dc138",
+        "1174fbaca346daccd19ba886a2d3e28814a8ae1f272387acb31362b70eb19b1a",
     "axiclone circuit --dist brosseau:P=0.8,mu=0.5":
         "906a4db2524125cf936b9409f8bd957b2a2677cb876ce3a541f1ebf47bdee1e4",
 }

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -9,9 +11,11 @@ from axiclone import (Brosseau, DeltaPair, InfeasibleMomentsError,
                       average_fidelity, moments, numeric_optimum,
                       optimal_angles, pcc_params, single_copy_fidelity,
                       uc_params)
+from axiclone import cli, dist, optimal
 from conftest import (angle_params, random_distribution,
                       random_feasible_moments)
-from oracles import density, integrate_marginal, vmf_kappa_threshold
+from oracles import (branch_search_angles, density, integrate_marginal,
+                     vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -79,6 +83,14 @@ class TestOptimalAngles:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleMomentsError):
             optimal_angles(MomentPair(0.9, -0.5))
+
+    @pytest.mark.parametrize("m", [MomentPair(1.0, 1.0 + 1e-12),
+                                   MomentPair(-1.0, 1.0 + 1e-13)])
+    def test_no_interior_angles_in_range_is_an_error(self, m):
+        # just above a pole, inside the feasibility tolerance, |Gamma| is
+        # sqrt(2)/2 but no arcsin branch puts both angles in [0, pi/2]
+        with pytest.raises(InfeasibleMomentsError, match="outside"):
+            optimal_angles(m)
 
     def test_interior_invariant_sin_sum_equals_omega(self, rng):
         seen = 0
@@ -263,3 +275,86 @@ class TestBrosseauRegimes:
     def test_strong_polarization_hits_boundary(self):
         p = optimal_angles(moments(Brosseau(P=0.8, mu=0.5)))
         assert p.regime is Regime.PCC_UPPER
+
+
+def _on_line(where: str, a1: float, t: float) -> MomentPair:
+    """A moment pair at a1 on one of the lines where the branch choice turns."""
+    low = (3 * a1 * a1 - 1) / 2  # variance bound
+    line = (3 * abs(a1) - 1) / 2  # x+ x- = 0: 1 + 2 a2 = 3 |a1|
+    return MomentPair(a1, {
+        "region": low + t * (1.0 - low), "variance": low, "top": 1.0,
+        "line": line, "line+": line + 1e-12, "line-": line - 1e-12,
+    }[where])
+
+
+_BRANCH_MOMENTS = st.one_of(
+    st.sampled_from([MomentPair(0.0, -0.5), MomentPair(1.0, 1.0),
+                     MomentPair(-1.0, 1.0), MomentPair(0.0, 0.0)]),
+    st.builds(
+        _on_line,
+        st.sampled_from(["region", "variance", "top", "line", "line+",
+                         "line-"]),
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5,
+                                   1 / 3, -1 / 3]),
+                  st.floats(-1e-6, 1e-6), st.floats(-1.0, 1.0)),
+        st.floats(0.0, 1.0)),
+)
+
+
+def _outcome(angles, m):
+    """A cloner's fields as exact bit patterns, or the type of its error."""
+    try:
+        p = angles(m)
+    except (InfeasibleMomentsError, AssertionError) as exc:
+        return type(exc)
+    return (p.alpha_plus.hex(), p.alpha_minus.hex(), p.gamma.hex(),
+            p.omega_value.hex(), p.regime)
+
+
+def _sweep_pcc_column(m: MomentPair) -> float:
+    """``F_PCC_branch`` of a sweep row whose ensemble has the moments m."""
+    out = io.StringIO()
+    with (contextlib.redirect_stdout(out),
+          pytest.MonkeyPatch.context() as patch):
+        patch.setattr(dist, "moments", lambda d: m)
+        code = cli.main(["sweep", "--dist", "delta:theta=0",
+                         "--sweep", "theta=0:1:2"])
+    assert code == 0
+    return float(out.getvalue().splitlines()[1].split(",")[-1])
+
+
+class TestBranchChoice:
+    @settings(max_examples=300, deadline=None)
+    @given(m=_BRANCH_MOMENTS,
+           b=st.floats(0.0, math.pi / 2), d=st.floats(-math.pi / 2, math.pi / 2))
+    def test_closed_form_choice_equals_branch_search(self, m, b, d):
+        got = _outcome(optimal_angles, m)
+        want = _outcome(branch_search_angles, m)
+        # where no candidate is in range the search stops at its assert,
+        # and the closed form raises instead
+        assert got == (InfeasibleMomentsError if want is AssertionError
+                       else want)
+
+        a1, a2 = m
+        m2 = (2 * a2 + 1) / 3
+        upper = average_fidelity(m, pcc_params(True))
+        lower = average_fidelity(m, pcc_params(False))
+        # the upper boundary cloner wins exactly when a1 >= 0
+        assert abs((upper - lower) - a1 / 2) <= 1e-15
+
+        def fidelity(ap, am):
+            return optimal._fidelity(m, ap, am, math.cos, math.sin)
+
+        pairs = [(b, d)]
+        if got is not InfeasibleMomentsError:
+            p = optimal_angles(m)
+            assert _sweep_pcc_column(m) == max(upper, lower)
+            if p.regime is Regime.INTERIOR and abs(p.gamma) < 1:
+                pairs.append((math.asin(min(p.omega_value, 1.0)),
+                              math.asin(p.gamma)))
+        for b, d in pairs:
+            # the principal arcsin branch beats the pi - b one by a
+            # non-negative amount
+            gap = (fidelity((b + d) / 2, (b - d) / 2)
+                   - fidelity((math.pi - b + d) / 2, (math.pi - b - d) / 2))
+            assert abs(gap - m2 * math.cos(b) * math.cos(d) / 2) <= 1e-15

@@ -100,6 +100,16 @@ def test_only_choi_imports_numpy_at_module_level():
     assert loaders == {"choi.py"}
 
 
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so every check the package relies on
+    # raises an error of its own instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "axiclone").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_moments_load_no_polynomial_module_or_integrator():
     # every kind's moments are closed forms or exact sums over a table's
     # segments: none needs numpy.polynomial, and no quadrature module ships
