@@ -15,14 +15,10 @@ gates form the fixed mirror-symmetric cloning circuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._value import Value
 from .errors import DomainError
 from .optimal import ClonerParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Gate", "build_circuit", "gate_matrix", "circuit_unitary",
@@ -31,31 +27,32 @@ __all__ = [
 KINDS = ("Ry", "CRy", "CNOT", "CH", "X")
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Value):
     """One gate on the 3-qubit register; qubit indices are 1-based."""
 
-    kind: str
-    target: int
-    control: int | None = None
-    param: float | None = None
+    __slots__ = keys = ("kind", "target", "control", "param")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown gate kind {self.kind!r}")
-        for q in (self.target, self.control):
+    def __init__(self, kind: str, target: int, control: int | None = None,
+                 param: float | None = None):
+        if kind not in KINDS:
+            raise DomainError(f"unknown gate kind {kind!r}")
+        for q in (target, control):
             if q is not None and q not in (1, 2, 3):
                 raise DomainError(f"qubit index {q} outside 1..3")
-        if self.control == self.target:
+        if control == target:
             raise DomainError("control and target must differ")
-        needs_control = self.kind in ("CRy", "CNOT", "CH")
-        if needs_control and self.control is None:
-            raise DomainError(f"{self.kind} requires a control qubit")
-        if not needs_control and self.control is not None:
-            raise DomainError(f"{self.kind} takes no control qubit")
-        needs_param = self.kind in ("Ry", "CRy")
-        if needs_param and self.param is None:
-            raise DomainError(f"{self.kind} requires an angle")
+        needs_control = kind in ("CRy", "CNOT", "CH")
+        if needs_control and control is None:
+            raise DomainError(f"{kind} requires a control qubit")
+        if not needs_control and control is not None:
+            raise DomainError(f"{kind} takes no control qubit")
+        needs_param = kind in ("Ry", "CRy")
+        if needs_param and param is None:
+            raise DomainError(f"{kind} requires an angle")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "param", param)
 
     def as_dict(self) -> dict:
         return {

@@ -5,7 +5,7 @@ given as ``name`` or ``name:key=value[,key=value...]``, e.g. ``uniform``,
 ``vmf:kappa=1.5``, ``brosseau:P=0.8,mu=0.5``, ``deltapair:theta=1.0472``,
 ``belt:theta1=0.5,theta2=1.2``, ``hg:h=0.3``, ``table:/path/to.csv``.
 The names are those of ``dist.KINDS`` and the keys are each kind's
-dataclass fields.
+``keys``.
 Angles are radians everywhere.  Exit codes: 0 success, 1 usage or parse
 error, 2 numeric failure, 3 optimality violation.
 """
@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
 
 from . import circuit as circuit_mod
 from . import dist as dist_mod
@@ -38,16 +37,28 @@ _CERTIFICATE_TOL = 1e-9
 # Most points a sweep grid may have.
 _MAX_SWEEP_POINTS = 1_000_000
 
-def _finite_float(text: str, what: str = "number",
+def _finite_float(text: str, what: str | None = None,
                   position: int | None = None) -> float:
-    """Parse a finite float; NaN and infinities are parse errors too."""
+    """Parse a finite float; NaN and infinities are parse errors too.
+
+    ``what`` names the number in the message, if given.
+    """
+    subject = f"number {text!r}" + ("" if what is None else f" for {what}")
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"bad number {text!r} for {what}", position) from None
+        raise ParseError(f"bad {subject}", position) from None
     if not math.isfinite(value):
-        raise ParseError(f"non-finite number {text!r} for {what}", position)
+        raise ParseError(f"non-finite {subject}", position)
     return value
+
+
+def _float_option(text: str) -> float:
+    """argparse ``type`` of a float option; argparse names the option."""
+    try:
+        return _finite_float(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_dist(spec: str) -> dist_mod.AxisDistribution:
@@ -64,7 +75,7 @@ def parse_dist(spec: str) -> dist_mod.AxisDistribution:
     if name not in dist_mod.KINDS:
         raise ParseError(f"unknown distribution {name!r}", 0)
     cls = dist_mod.KINDS[name]
-    allowed = [f.name for f in fields(cls)]
+    allowed = cls.keys
     values: dict[str, float] = {}
     if sep and rest:
         offset = len(name) + 1
@@ -228,8 +239,8 @@ def _parse_sweep(text: str,
     keys = [k.strip() for k in names.split(",") if k.strip()]
     if not keys:
         raise ParseError("sweep needs a parameter name")
-    # only a registered kind's fields are spec keys; a table has none
-    allowed = [f.name for f in fields(base)] if base.kind in dist_mod.KINDS else ()
+    # only a registered kind's keys are spec keys; a table has none
+    allowed = base.keys if base.kind in dist_mod.KINDS else ()
     for i, key in enumerate(keys):
         if key not in allowed:
             raise ParseError(f"cannot sweep {key!r} on {base.kind}")
@@ -247,7 +258,7 @@ def cmd_sweep(args) -> int:
     for value in grid:
         row: list[float] = [float(value)]
         try:
-            d = replace(base, **dict.fromkeys(keys, float(value)))
+            d = base.with_(**dict.fromkeys(keys, float(value)))
             m = dist_mod.moments(d)
             p = optimal_angles(m)
             row += [m.a1, m.a2, p.gamma, p.alpha_plus, p.alpha_minus,
@@ -337,8 +348,8 @@ def _build_parser() -> _Parser:
     sweep = add("sweep", cmd_sweep)
     sweep.add_argument("--sweep", required=True, help="param=start:stop:n")
     simulate = add("simulate", cmd_simulate)
-    simulate.add_argument("--theta", type=_finite_float, required=True)
-    simulate.add_argument("--phi", type=_finite_float, default=0.0)
+    simulate.add_argument("--theta", type=_float_option, required=True)
+    simulate.add_argument("--phi", type=_float_option, default=0.0)
     verify = add("verify", cmd_verify)
     verify.add_argument("--samples", type=int, default=10000)
     verify.add_argument("--seed", type=int, default=0)

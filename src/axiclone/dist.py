@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
-from typing import ClassVar, NamedTuple
+from collections import namedtuple
 
+from ._value import Value
 from .errors import (DomainError, InfeasibleMomentsError, ParseError,
                      UnsupportedKindError)
 
@@ -38,9 +38,7 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 
 
-class MomentPair(NamedTuple):
-    a1: float
-    a2: float
+MomentPair = namedtuple("MomentPair", "a1 a2")
 
 
 def _p2(x: float) -> float:
@@ -62,31 +60,32 @@ def validate_moments(m) -> bool:
             and (2 * a2 + 1) / 3 >= a1 * a1 - FEASIBILITY_TOL)
 
 
-@dataclass(frozen=True)
-class AxisDistribution:
+class AxisDistribution(Value):
     """An axisymmetric ensemble of pure qubit states.
 
-    ``kind`` is the name a spec string gives the kind; a parametric kind's
-    spec keys are its dataclass fields.
+    ``kind`` is the name a spec string gives the kind, and ``keys`` names
+    its parameters in ``__init__`` order; a parametric kind's spec keys are
+    its ``keys``.  A kind lists its ``keys`` as its ``__slots__`` and sets
+    them in its ``__init__`` with ``object.__setattr__``.
     """
 
-    kind: ClassVar[str] = ""
+    __slots__ = ()
+    kind = ""
 
     def moment_pair(self) -> MomentPair:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Uniform(AxisDistribution):
     """Isotropic ensemble; marginal 1/2 on [-1, 1]."""
 
+    __slots__ = ()
     kind = "uniform"
 
     def moment_pair(self) -> MomentPair:
         return MomentPair(0.0, 0.0)
 
 
-@dataclass(frozen=True)
 class VonMisesFisher(AxisDistribution):
     """Spherical analogue of a Gaussian with concentration ``kappa``.
 
@@ -94,8 +93,11 @@ class VonMisesFisher(AxisDistribution):
     around the antipode and kappa -> 0 recovers the uniform ensemble.
     """
 
+    __slots__ = keys = ("kappa",)
     kind = "vmf"
-    kappa: float = 0.0
+
+    def __init__(self, kappa: float = 0.0):
+        object.__setattr__(self, "kappa", kappa)
 
     def moment_pair(self) -> MomentPair:
         k = self.kappa
@@ -136,7 +138,6 @@ def _axis_moments_closed(P: float) -> tuple[float, float]:
     return (1 - r) / P, (3 * (1 - r) - 2 * P * P) / (P * P)
 
 
-@dataclass(frozen=True)
 class Brosseau(AxisDistribution):
     """Single-Stokes-parameter statistics of a Gaussian stochastic field.
 
@@ -148,16 +149,17 @@ class Brosseau(AxisDistribution):
     P = 1 itself is rejected here and must be expressed as Delta.
     """
 
+    __slots__ = keys = ("P", "mu")
     kind = "brosseau"
-    P: float = 0.0
-    mu: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.P < 1.0:
+    def __init__(self, P: float = 0.0, mu: float = 0.0):
+        if not 0.0 <= P < 1.0:
             raise DomainError(
-                f"P must lie in [0, 1) for a density (P=1 is a Delta), got {self.P}")
-        if self.mu ** 2 > self.P ** 2:
-            raise DomainError(f"require mu^2 <= P^2, got P={self.P}, mu={self.mu}")
+                f"P must lie in [0, 1) for a density (P=1 is a Delta), got {P}")
+        if mu ** 2 > P ** 2:
+            raise DomainError(f"require mu^2 <= P^2, got P={P}, mu={mu}")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "mu", mu)
 
     def moment_pair(self) -> MomentPair:
         # The marginal is the axis marginal of the sphere density
@@ -175,19 +177,19 @@ class Brosseau(AxisDistribution):
         return MomentPair(c * b1, 0.5 * (3 * c * c - 1) * b2)
 
 
-@dataclass(frozen=True)
 class HenyeyGreenstein(AxisDistribution):
     """One-parameter scattering phase function with moments a_n = h^n.
 
     Marginal (1 - h^2) / (2 (1 + h^2 - 2 h x)^(3/2)).
     """
 
+    __slots__ = keys = ("h",)
     kind = "hg"
-    h: float = 0.0
 
-    def __post_init__(self):
-        if not -1.0 < self.h < 1.0:
-            raise DomainError(f"anisotropy must satisfy |h| < 1, got {self.h}")
+    def __init__(self, h: float = 0.0):
+        if not -1.0 < h < 1.0:
+            raise DomainError(f"anisotropy must satisfy |h| < 1, got {h}")
+        object.__setattr__(self, "h", h)
 
     def moment_pair(self) -> MomentPair:
         return MomentPair(self.h, self.h * self.h)
@@ -198,37 +200,36 @@ def _check_polar(value: float, name: str) -> None:
         raise DomainError(f"{name} must lie in [0, pi], got {value}")
 
 
-@dataclass(frozen=True)
 class Delta(AxisDistribution):
     """All states on the latitude ring theta = vartheta (unknown azimuth)."""
 
+    __slots__ = keys = ("theta",)
     kind = "delta"
-    theta: float = 0.0
 
-    def __post_init__(self):
-        _check_polar(self.theta, "theta")
+    def __init__(self, theta: float = 0.0):
+        _check_polar(theta, "theta")
+        object.__setattr__(self, "theta", theta)
 
     def moment_pair(self) -> MomentPair:
         c = math.cos(self.theta)
         return MomentPair(c, _p2(c))
 
 
-@dataclass(frozen=True)
 class DeltaPair(AxisDistribution):
     """Equal-weight mirror latitudes theta and pi - theta."""
 
+    __slots__ = keys = ("theta",)
     kind = "deltapair"
-    theta: float = 0.0
 
-    def __post_init__(self):
-        _check_polar(self.theta, "theta")
+    def __init__(self, theta: float = 0.0):
+        _check_polar(theta, "theta")
+        object.__setattr__(self, "theta", theta)
 
     def moment_pair(self) -> MomentPair:
         # P1 cancels between the mirror rings, P2 is even
         return MomentPair(0.0, _p2(math.cos(self.theta)))
 
 
-@dataclass(frozen=True)
 class Belt(AxisDistribution):
     """States uniform on the band between latitudes theta1 < theta2.
 
@@ -236,15 +237,16 @@ class Belt(AxisDistribution):
     0 elsewhere.
     """
 
+    __slots__ = keys = ("theta1", "theta2")
     kind = "belt"
-    theta1: float = 0.0
-    theta2: float = math.pi
 
-    def __post_init__(self):
-        _check_polar(self.theta1, "theta1")
-        _check_polar(self.theta2, "theta2")
-        if not self.theta1 < self.theta2:
+    def __init__(self, theta1: float = 0.0, theta2: float = math.pi):
+        _check_polar(theta1, "theta1")
+        _check_polar(theta2, "theta2")
+        if not theta1 < theta2:
             raise DomainError("require theta1 < theta2")
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta2", theta2)
 
     def moment_pair(self) -> MomentPair:
         hi = math.cos(self.theta1)
@@ -255,21 +257,19 @@ class Belt(AxisDistribution):
         return MomentPair(a1, a2)
 
 
-@dataclass(frozen=True)
 class Tabulated(AxisDistribution):
     """Piecewise-linear marginal through samples (x_i, g_i), renormalised.
 
     g is linear between neighbouring samples and 0 outside [x_0, x_n].
     """
 
+    __slots__ = keys = ("xs", "gs", "source")
     kind = "table"
-    xs: tuple[float, ...] = ()
-    gs: tuple[float, ...] = ()
-    source: str | None = None
 
-    def __post_init__(self):
-        xs = tuple(float(v) for v in self.xs)
-        gs = tuple(float(v) for v in self.gs)
+    def __init__(self, xs: tuple[float, ...] = (), gs: tuple[float, ...] = (),
+                 source: str | None = None):
+        xs = tuple(float(v) for v in xs)
+        gs = tuple(float(v) for v in gs)
         if len(xs) < 2 or len(xs) != len(gs):
             raise DomainError("tabulated density needs >= 2 matched samples")
         if not all(map(math.isfinite, xs + gs)):
@@ -294,14 +294,14 @@ class Tabulated(AxisDistribution):
                 f"tabulated support is too narrow: g / max(g) integrates to "
                 f"{area:.3g}, below the smallest normal float")
         if abs(top * area - 1.0) > 1e-3:
-            # level 2 is the dataclass-generated __init__, whose file is
-            # "<string>"; level 3 is the code that built the table
-            where = "" if self.source is None else f" {self.source!r}"
+            # level 2 is the code that built the table
+            where = "" if source is None else f" {source!r}"
             warnings.warn(
                 f"tabulated density{where} integrates to {top * area:.6g}; "
-                "renormalising", stacklevel=3)
+                "renormalising", stacklevel=2)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", tuple(g / area for g in gs))
+        object.__setattr__(self, "source", source)
 
     def moment_pair(self) -> MomentPair:
         # g is linear on each segment, so g x and g P2 are at most cubic
@@ -371,6 +371,6 @@ def spec_string(dist: AxisDistribution) -> str:
         return f"{dist.kind}:{dist.source}"
     if type(dist) is not KINDS.get(dist.kind):
         raise UnsupportedKindError(f"unknown distribution {type(dist).__name__}")
-    params = ",".join(f"{f.name}={float(getattr(dist, f.name))!r}"
-                      for f in fields(dist))
+    params = ",".join(f"{key}={float(getattr(dist, key))!r}"
+                      for key in dist.keys)
     return f"{dist.kind}:{params}" if params else dist.kind

@@ -27,9 +27,9 @@ wins iff a1 >= 0.  The removable x+ x- -> 0 singularity at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import Value
 from .dist import MomentPair, validate_moments
 from .errors import InfeasibleMomentsError
 
@@ -55,15 +55,19 @@ class Regime(str, Enum):
     PCC_LOWER = "PccLower"
 
 
-@dataclass(frozen=True)
-class ClonerParams:
+class ClonerParams(Value):
     """Cloning angles plus the diagnostics that selected them."""
 
-    alpha_plus: float
-    alpha_minus: float
-    gamma: float
-    omega_value: float
-    regime: Regime
+    __slots__ = keys = ("alpha_plus", "alpha_minus", "gamma", "omega_value",
+                        "regime")
+
+    def __init__(self, alpha_plus: float, alpha_minus: float, gamma: float,
+                 omega_value: float, regime: Regime):
+        object.__setattr__(self, "alpha_plus", alpha_plus)
+        object.__setattr__(self, "alpha_minus", alpha_minus)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "omega_value", omega_value)
+        object.__setattr__(self, "regime", regime)
 
 
 def _omega(a1: float, a2: float, prod: float) -> float:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError
 from .optimal import ClonerParams
 
@@ -28,12 +28,14 @@ __all__ = ["PureQubit", "clone_isometry", "apply_clone", "clone_fidelity_sim"]
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PureQubit:
+class PureQubit(Value):
     """Bloch angles (theta, phi) measured from the symmetry axis."""
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = keys = ("theta", "phi")
+
+    def __init__(self, theta: float, phi: float = 0.0):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     def amplitudes(self) -> tuple[complex, complex]:
         return (complex(math.cos(self.theta / 2)),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
                       HenyeyGreenstein, MomentPair, Regime, Uniform,
@@ -9,6 +10,24 @@ from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
                       choi_from_params, moments, optimal_angles, partial_trace)
 
 from oracles import primal_sdp_max
+
+_POLAR = st.floats(0.0, math.pi)
+
+# One strategy per registered kind, reaching the extreme finite floats of
+# each kind's domain.
+KIND_STRATEGIES = {
+    "uniform": st.just(Uniform()),
+    "vmf": st.builds(VonMisesFisher,
+                     st.floats(allow_nan=False, allow_infinity=False)),
+    "brosseau": st.floats(0.0, 1.0, exclude_max=True).flatmap(
+        lambda P: st.builds(Brosseau, st.just(P), st.floats(-P, P))),
+    "hg": st.builds(HenyeyGreenstein,
+                    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    "delta": st.builds(Delta, _POLAR),
+    "deltapair": st.builds(DeltaPair, _POLAR),
+    "belt": st.lists(_POLAR, min_size=2, max_size=2, unique=True).map(
+        lambda thetas: Belt(*sorted(thetas))),
+}
 
 
 def random_feasible_moments(rng) -> MomentPair:

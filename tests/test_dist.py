@@ -334,8 +334,8 @@ class TestTabulated:
         assert normalization_integral(t) == pytest.approx(1.0, abs=1e-10)
 
     def test_renormalisation_warning_names_the_caller(self, tmp_path):
-        # the location is the code that built the table, not the
-        # dataclass-generated __init__, whose file is "<string>"
+        # the location is the code that built the table, not
+        # Tabulated.__init__
         with pytest.warns(UserWarning, match="renormalising") as record:
             Tabulated(xs=(-1.0, 1.0), gs=(1.0, 1.0))
         assert [w.filename for w in record] == [__file__]

@@ -23,6 +23,30 @@ def test_import_does_not_load_scipy():
     assert result.returncode == 0, result.stderr
 
 
+# one call of each scalar command, as a user runs it
+_SCALAR_COMMANDS = (
+    ["params", "--dist", "vmf:kappa=1.5"],
+    ["circuit", "--dist", "uniform"],
+    ["sweep", "--dist", "hg:h=0", "--sweep", "h=-0.5:0.5:11"],
+    ["simulate", "--dist", "vmf:kappa=1.5", "--theta", "0.7", "--phi", "2.1"],
+)
+
+
+def _cold_imports(argv, *flags) -> set[str]:
+    """Modules a fresh ``python -m axiclone.cli`` process imports.
+
+    ``-X importtime`` lists every module the process imports on stderr.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, *flags, "-X", "importtime", "-m", "axiclone.cli",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_scalar_commands_do_not_load_numpy():
     # the closed form, the moments, the gate list and the simulation are
     # scalar math: the package import and params / circuit / sweep /
@@ -49,22 +73,21 @@ def test_scalar_commands_do_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    for argv in (["params", "--dist", "vmf:kappa=1.5"],
-                 ["circuit", "--dist", "uniform"],
-                 ["sweep", "--dist", "hg:h=0", "--sweep", "h=-0.5:0.5:11"],
-                 ["simulate", "--dist", "vmf:kappa=1.5", "--theta", "0.7",
-                  "--phi", "2.1"]):
-        # a fresh ``python -m axiclone.cli`` process, as a user runs it;
-        # -X importtime lists every module it imports on stderr
-        result = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "axiclone.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        imported = {line.rsplit("|", 1)[-1].strip()
-                    for line in result.stderr.splitlines()
-                    if line.startswith("import time:")}
+    for argv in _SCALAR_COMMANDS:
+        imported = _cold_imports(argv)
         assert "axiclone.optimal" in imported, argv
         assert "numpy" not in imported, f"{argv[0]} loaded numpy"
+
+
+def test_scalar_commands_load_no_class_generator():
+    # the value classes are written out, so a cold call loads neither
+    # dataclasses nor the inspect and typing modules; -S keeps the .pth
+    # files of site-packages, which may import typing, out of the process
+    for argv in _SCALAR_COMMANDS:
+        imported = _cold_imports(argv, "-S")
+        assert "axiclone.optimal" in imported, argv
+        loaded = imported & {"dataclasses", "typing", "inspect"}
+        assert not loaded, f"{argv[0]} loaded {sorted(loaded)}"
 
 
 def _module_level_imports(tree: ast.Module) -> set[str]:
