@@ -10,8 +10,8 @@ quantum circuit.
 Importing the package loads no numpy: the closed form, the moments, the
 gate list and the three-qubit simulation are scalar math.  The names of
 ``qsim`` and ``choi`` are resolved on first access; only ``choi``, the
-certificate behind ``verify``, imports numpy, and ``circuit_unitary`` /
-``gate_matrix`` import it when first called.
+certificate behind ``verify``, imports numpy, and ``circuit_unitary``, the
+circuit's 8x8 matrix, imports it when first called.
 """
 
 import importlib
@@ -25,7 +25,7 @@ from .errors import (CloneError, DomainError, InfeasibleMomentsError,
 from .optimal import (ClonerParams, Regime, average_fidelity,
                       numeric_optimum, optimal_angles, pcc_params,
                       single_copy_fidelity, uc_params, UC_ALPHA)
-from .circuit import Gate, build_circuit, circuit_unitary, gate_matrix
+from .circuit import Gate, build_circuit, circuit_unitary
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ _LAZY = {name: module for module, names in (
               "clone_isometry")),
     ("choi", ("build_merit", "choi_fidelity", "choi_from_params",
               "dual_certificate", "max_sampled_fidelity",
-              "optimality_report", "partial_trace")),
+              "optimality_report")),
 ) for name in names}
 
 

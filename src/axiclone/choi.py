@@ -40,7 +40,6 @@ from .qsim import clone_isometry
 __all__ = [
     "build_merit", "choi_from_params", "choi_fidelity",
     "dual_certificate", "max_sampled_fidelity", "optimality_report",
-    "choi_from_isometry", "partial_trace",
 ]
 
 _I2 = np.eye(2)
@@ -66,49 +65,15 @@ def _merit(a1: float, a2: float) -> np.ndarray:
                for c, a, b in terms) / 8
 
 
-def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Trace out all qubits not in ``keep`` (1-based indices).
-
-    Works for any square density matrix on 1..3 qubits.
-    """
-    rho = np.asarray(rho)
-    dim = rho.shape[0]
-    n = int(round(math.log2(dim)))
-    if rho.shape != (dim, dim) or 2 ** n != dim:
-        raise DomainError(f"expected a 2^n x 2^n matrix, got {rho.shape}")
-    kept = sorted(set(int(k) for k in keep))
-    if not kept or any(k < 1 or k > n for k in kept):
-        raise DomainError(f"keep={keep!r} is not a non-empty subset of 1..{n}")
-    if len(kept) == n:
-        return rho.copy()
-    t = rho.reshape([2] * (2 * n))
-    row = list(range(n))
-    col = [n + i if (i + 1) in kept else i for i in range(n)]
-    out = [i for i in range(n) if (i + 1) in kept] + \
-          [n + i for i in range(n) if (i + 1) in kept]
-    d = 2 ** len(kept)
-    return np.einsum(t, row + col, out).reshape(d, d)
-
-
-def choi_from_isometry(w: np.ndarray) -> np.ndarray:
-    """Choi matrix of X -> Tr_env(W X W^dag) for an isometry W: C^2 -> C^4 (x) env."""
-    w = np.asarray(w, dtype=complex)
-    if w.ndim != 2 or w.shape[1] != 2 or w.shape[0] % 4:
-        raise DomainError(f"expected a (4*env, 2) isometry, got {w.shape}")
-    env = w.shape[0] // 4
-    # column e is |v_e> = sum_i |i> (x) K_e |i>, laid out as index 4*i + out
-    v = w.reshape(4, env, 2).transpose(2, 0, 1).reshape(8, env)
-    return v @ v.conj().T
-
-
 def choi_from_params(p: ClonerParams) -> np.ndarray:
     """Choi matrix of the analytic cloner (ancilla traced out).
 
-    The isometry's row index (clone1, clone2, ancilla) already has the
-    ancilla as the fastest axis, which is the environment layout
-    choi_from_isometry expects.
+    Row 2 j + e of the isometry W is clone pair j with ancilla e, so column e
+    of v is the Kraus vector sum_i |i> (x) K_e |i>, at index 4 i + j.
     """
-    return choi_from_isometry(np.array(clone_isometry(p), dtype=complex))
+    w = np.array(clone_isometry(p), dtype=complex)
+    v = w.reshape(4, 2, 2).transpose(2, 0, 1).reshape(8, 2)
+    return v @ v.conj().T
 
 
 # Largest entry of |M - M^dag| that still counts as Hermitian.
@@ -222,7 +187,9 @@ def dual_certificate(r: np.ndarray, params: ClonerParams) -> tuple[float, float]
     ancilla size.  At the optimum Tr Y = Tr(chi R) and lambda_min = 0.
     """
     r = _hermitian_8x8(r, "merit operator")
-    y = partial_trace(r @ choi_from_params(params), {1})
+    rc = (r @ choi_from_params(params)).reshape([2] * 6)
+    # trace out the clones: row (i, j, k) meets column (l, j, k)
+    y = np.einsum("ijkljk->il", rc)
     y = 0.5 * (y + y.conj().T)
     lam = float(np.linalg.eigvalsh(np.kron(y, np.eye(4)) - r)[0])
     return float(np.trace(y).real), lam

@@ -20,11 +20,27 @@ from ._value import Value
 from .errors import DomainError
 from .optimal import ClonerParams
 
-__all__ = [
-    "Gate", "build_circuit", "gate_matrix", "circuit_unitary",
-]
+__all__ = ["Gate", "build_circuit", "circuit_unitary"]
 
-KINDS = ("Ry", "CRy", "CNOT", "CH", "X")
+_H = 1 / math.sqrt(2.0)
+_NOT = ((0.0, 1.0), (1.0, 0.0))
+_HADAMARD = ((_H, _H), (_H, -_H))
+
+
+def _ry(theta: float):
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return (c, -s), (s, c)
+
+
+# kind -> (takes a control qubit, takes an angle, its 2x2 on the target as
+# a function of the angle)
+_KINDS = {
+    "Ry": (False, True, _ry),
+    "CRy": (True, True, _ry),
+    "CNOT": (True, False, lambda _: _NOT),
+    "CH": (True, False, lambda _: _HADAMARD),
+    "X": (False, False, lambda _: _NOT),
+}
 
 
 class Gate(Value):
@@ -34,19 +50,18 @@ class Gate(Value):
 
     def __init__(self, kind: str, target: int, control: int | None = None,
                  param: float | None = None):
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise DomainError(f"unknown gate kind {kind!r}")
+        needs_control, needs_param, _ = _KINDS[kind]
         for q in (target, control):
             if q is not None and q not in (1, 2, 3):
                 raise DomainError(f"qubit index {q} outside 1..3")
         if control == target:
             raise DomainError("control and target must differ")
-        needs_control = kind in ("CRy", "CNOT", "CH")
         if needs_control and control is None:
             raise DomainError(f"{kind} requires a control qubit")
         if not needs_control and control is not None:
             raise DomainError(f"{kind} takes no control qubit")
-        needs_param = kind in ("Ry", "CRy")
         if needs_param and param is None:
             raise DomainError(f"{kind} requires an angle")
         object.__setattr__(self, "kind", kind)
@@ -78,41 +93,24 @@ def build_circuit(p: ClonerParams) -> tuple[Gate, ...]:
     )
 
 
-# The matrix view below is the only numpy user in this module; it imports
+# The 8x8 matrix view below is the only numpy user in this module; it imports
 # numpy on first call, so building and printing a circuit never loads it.
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """8x8 unitary of the gate embedded on its qubits."""
-    import numpy as np
-
-    eye = np.eye(2, dtype=complex)
-    if g.kind in ("Ry", "CRy"):
-        c, s = math.cos(g.param / 2), math.sin(g.param / 2)
-        u = np.array([[c, -s], [s, c]], dtype=complex)
-    elif g.kind == "CH":
-        u = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    else:  # CNOT and X
-        u = np.array([[0, 1], [1, 0]], dtype=complex)
-
-    def kron3(ops):
-        return np.kron(np.kron(ops[0], ops[1]), ops[2])
-
-    act = [eye, eye, eye]
-    act[g.target - 1] = u
-    if g.control is None:
-        return kron3(act)
-    # |0><0| on the control leaves the target idle, |1><1| applies u
-    idle = [eye, eye, eye]
-    idle[g.control - 1] = np.diag([1.0, 0.0]).astype(complex)
-    act[g.control - 1] = np.diag([0.0, 1.0]).astype(complex)
-    return kron3(idle) + kron3(act)
-
-
 def circuit_unitary(gates: tuple[Gate, ...]) -> np.ndarray:
-    """Ordered product of the gate matrices (first gate rightmost)."""
+    """Ordered product of the gate unitaries (first gate rightmost), 8x8.
+
+    A gate mixes the row pairs of the running product that differ in its
+    target bit and have its control bit set; qubit q is bit 1 << (3 - q).
+    """
     import numpy as np
 
     u = np.eye(8, dtype=complex)
     for g in gates:
-        u = gate_matrix(g) @ u
+        (m00, m01), (m10, m11) = _KINDS[g.kind][2](g.param)
+        t = 1 << (3 - g.target)
+        c = 0 if g.control is None else 1 << (3 - g.control)
+        lo = [r for r in range(8) if not r & t and r & c == c]
+        hi = [r | t for r in lo]
+        u0, u1 = u[lo], u[hi]
+        u[lo], u[hi] = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
     return u

@@ -86,6 +86,20 @@ class Uniform(AxisDistribution):
         return MomentPair(0.0, 0.0)
 
 
+# Below this |kappa| the vMF moments come from the series
+#   k cosh k - sinh k = sum_{n>=1} 2n/(2n+1)! k^(2n+1),
+#   k sinh k = sum_{n>=0} 1/(2n+1)! k^(2n+2),
+#   k^2 sinh k - 3k cosh k + 3 sinh k = sum_{n>=2} 4n(n-1)/(2n+1)! k^(2n+1),
+# so a1 = k Q1(k^2)/Qd(k^2) and a2 = k^2 Q2(k^2)/Qd(k^2).  Coefficient
+# triples (Q1, Q2, Qd) by descending power of k^2, 16 terms each; below 3
+# the dropped tail is under 1e-22 of each sum.
+_VMF_SERIES_BELOW = 3.0
+_VMF_SERIES = tuple((2 * (n + 1) / math.factorial(2 * n + 3),
+                     4 * (n + 2) * (n + 1) / math.factorial(2 * n + 5),
+                     1 / math.factorial(2 * n + 1))
+                    for n in range(15, -1, -1))
+
+
 class VonMisesFisher(AxisDistribution):
     """Spherical analogue of a Gaussian with concentration ``kappa``.
 
@@ -101,9 +115,16 @@ class VonMisesFisher(AxisDistribution):
 
     def moment_pair(self) -> MomentPair:
         k = self.kappa
-        if abs(k) < 1e-6:
-            # series around 0; coth k - 1/k cancels catastrophically there
-            return MomentPair(k / 3 - k ** 3 / 45, k * k / 15)
+        if abs(k) < _VMF_SERIES_BELOW:
+            # coth k - 1/k and 1 - 3 a1/k cancel here; their ratios of
+            # series with positive terms do not
+            k2 = k * k
+            s1 = s2 = sd = 0.0
+            for c1, c2, cd in _VMF_SERIES:
+                s1 = s1 * k2 + c1
+                s2 = s2 * k2 + c2
+                sd = sd * k2 + cd
+            return MomentPair(k * s1 / sd, k2 * s2 / sd)
         a1 = 1.0 / math.tanh(k) - 1.0 / k
         # second moment from the half-integer Bessel recurrence
         a2 = 1.0 - 3.0 * a1 / k

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
                       HenyeyGreenstein, MomentPair, Regime, Uniform,
                       VonMisesFisher, average_fidelity, build_merit,
-                      choi_from_params, moments, optimal_angles, partial_trace)
+                      choi_from_params, moments, optimal_angles)
 
-from oracles import primal_sdp_max
+from oracles import partial_trace, primal_sdp_max
 
 _POLAR = st.floats(0.0, math.pi)
 

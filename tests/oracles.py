@@ -26,7 +26,11 @@ two identities instead.  The symmetry blocks split an 8x8 operator along
 the axis-rotation and clone-swap symmetry, the structure the dual
 certificate rests on.  The array simulation (isometry matrix,
 ``np.outer`` state and einsum partial trace) is the reference the scalar
-:mod:`axiclone.qsim` must reproduce.
+:mod:`axiclone.qsim` must reproduce.  The general partial trace and the
+Choi matrix of any isometry are the path the certificate's fixed-shape
+clone trace and the cloner's Choi matrix must equal bit for bit.  The
+Kronecker embedding of each gate, with its 2x2 written out per kind, is
+the reference for the row updates of :func:`axiclone.circuit_unitary`.
 """
 
 import heapq
@@ -40,9 +44,8 @@ from numpy.polynomial.legendre import leggauss
 from axiclone import (ClonerParams, DomainError, InfeasibleMomentsError,
                       MomentPair, Regime, UnsupportedKindError,
                       VonMisesFisher, average_fidelity, moments,
-                      optimal_angles, partial_trace, pcc_params,
-                      validate_moments)
-from axiclone.choi import _hermitian_8x8, choi_from_isometry
+                      optimal_angles, pcc_params, validate_moments)
+from axiclone.choi import _hermitian_8x8
 from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, _boundary,
                               _omega)
 
@@ -286,6 +289,74 @@ def normalization_integral(dist, tol: float = 1e-10) -> float:
     if masses is not None:
         return float(sum(w for _, w in masses))
     return float(integrate_marginal(dist, lambda x: density(dist, x), tol=tol))
+
+
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Trace out all qubits not in ``keep`` (1-based indices).
+
+    Works for any square density matrix on 1..3 qubits.
+    """
+    rho = np.asarray(rho)
+    dim = rho.shape[0]
+    n = int(round(math.log2(dim)))
+    if rho.shape != (dim, dim) or 2 ** n != dim:
+        raise DomainError(f"expected a 2^n x 2^n matrix, got {rho.shape}")
+    kept = sorted(set(int(k) for k in keep))
+    if not kept or any(k < 1 or k > n for k in kept):
+        raise DomainError(f"keep={keep!r} is not a non-empty subset of 1..{n}")
+    if len(kept) == n:
+        return rho.copy()
+    t = rho.reshape([2] * (2 * n))
+    row = list(range(n))
+    col = [n + i if (i + 1) in kept else i for i in range(n)]
+    out = [i for i in range(n) if (i + 1) in kept] + \
+          [n + i for i in range(n) if (i + 1) in kept]
+    d = 2 ** len(kept)
+    return np.einsum(t, row + col, out).reshape(d, d)
+
+
+def choi_from_isometry(w: np.ndarray) -> np.ndarray:
+    """Choi matrix of X -> Tr_env(W X W^dag) for an isometry W: C^2 -> C^4 (x) env."""
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2 or w.shape[1] != 2 or w.shape[0] % 4:
+        raise DomainError(f"expected a (4*env, 2) isometry, got {w.shape}")
+    env = w.shape[0] // 4
+    # column e is |v_e> = sum_i |i> (x) K_e |i>, laid out as index 4*i + out
+    v = w.reshape(4, env, 2).transpose(2, 0, 1).reshape(8, env)
+    return v @ v.conj().T
+
+
+def kron_gate_matrix(g) -> np.ndarray:
+    """8x8 unitary of the gate embedded on its qubits by Kronecker products."""
+    eye = np.eye(2, dtype=complex)
+    if g.kind in ("Ry", "CRy"):
+        c, s = math.cos(g.param / 2), math.sin(g.param / 2)
+        u = np.array([[c, -s], [s, c]], dtype=complex)
+    elif g.kind == "CH":
+        u = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+    else:  # CNOT and X
+        u = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def kron3(ops):
+        return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+    act = [eye, eye, eye]
+    act[g.target - 1] = u
+    if g.control is None:
+        return kron3(act)
+    # |0><0| on the control leaves the target idle, |1><1| applies u
+    idle = [eye, eye, eye]
+    idle[g.control - 1] = np.diag([1.0, 0.0]).astype(complex)
+    act[g.control - 1] = np.diag([0.0, 1.0]).astype(complex)
+    return kron3(idle) + kron3(act)
+
+
+def kron_circuit_unitary(gates) -> np.ndarray:
+    """Ordered product of :func:`kron_gate_matrix` (first gate rightmost)."""
+    u = np.eye(8, dtype=complex)
+    for g in gates:
+        u = kron_gate_matrix(g) @ u
+    return u
 
 
 def merit_kernel_reference(x: np.ndarray) -> np.ndarray:

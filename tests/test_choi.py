@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
                       HenyeyGreenstein, MomentPair, NonHermitianError,
                       Uniform, VonMisesFisher, average_fidelity, build_merit,
-                      choi_fidelity, choi_from_params, dual_certificate,
-                      max_sampled_fidelity, moments, optimal_angles,
-                      partial_trace, pcc_params, uc_params)
+                      choi_fidelity, choi_from_params, clone_isometry,
+                      dual_certificate, max_sampled_fidelity, moments,
+                      optimal_angles, pcc_params, uc_params)
 from axiclone import choi
-from conftest import assert_primal_optimum, random_distribution, random_params
-from oracles import (block_basis, density, haar_isometry, integrate_marginal,
-                     lapack_fidelities, lapack_haar_isometry,
-                     merit_kernel_reference, random_cptp, row_fidelity,
+from conftest import (angle_params, assert_primal_optimum,
+                      random_distribution, random_params)
+from oracles import (block_basis, choi_from_isometry, density, haar_isometry,
+                     integrate_marginal, lapack_fidelities,
+                     lapack_haar_isometry, merit_kernel_reference,
+                     partial_trace, random_cptp, row_fidelity,
                      sampled_fidelity_loop, symmetry_blocks)
 
 SQRT2 = math.sqrt(2.0)
@@ -410,3 +412,23 @@ class TestDualCertificate:
         r[0, 1] += 1e-3
         with pytest.raises(NonHermitianError):
             dual_certificate(r, uc_params())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, math.pi / 2), st.floats(0.0, math.pi / 2),
+           st.booleans())
+    def test_equals_generic_partial_trace_path_bit_for_bit(self, a1, t, ap,
+                                                           am, complex_r):
+        # the certificate's fixed-shape clone trace and Choi reshape give
+        # the very digits of the general isometry-Choi and partial trace
+        a2 = (3 * a1 * a1 - 1) / 2 + t * (3 - 3 * a1 * a1) / 2
+        r = choi._merit(a1, a2)
+        if complex_r:
+            r = phase_conjugated(r)
+        p = angle_params(ap, am)
+        chi = choi_from_isometry(np.array(clone_isometry(p), dtype=complex))
+        assert np.array_equal(choi_from_params(p), chi)
+        y = partial_trace(r @ chi, {1})
+        y = 0.5 * (y + y.conj().T)
+        lam = float(np.linalg.eigvalsh(np.kron(y, np.eye(4)) - r)[0])
+        assert dual_certificate(r, p) == (float(np.trace(y).real), lam)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axiclone import (DomainError, Gate, MomentPair, build_circuit,
-                      circuit_unitary, clone_isometry, gate_matrix,
-                      optimal_angles, pcc_params, single_copy_fidelity,
-                      uc_params)
+                      circuit_unitary, clone_isometry, optimal_angles,
+                      pcc_params, single_copy_fidelity, uc_params)
 from conftest import angle_params, random_params
+from oracles import kron_circuit_unitary, kron_gate_matrix, partial_trace
 
 SQRT2 = math.sqrt(2.0)
 
@@ -17,9 +18,25 @@ def input_columns(u):
     return u[:, [0b000, 0b100]]
 
 
+# every kind on every target, and on every control where it takes one
+PLACEMENTS = [(kind, t, c) for kind in ("Ry", "CRy", "CNOT", "CH", "X")
+              for t in (1, 2, 3)
+              for c in ([None] if kind in ("Ry", "X")
+                        else sorted({1, 2, 3} - {t}))]
+
+
+@st.composite
+def gates(draw):
+    kind, target, control = draw(st.sampled_from(PLACEMENTS))
+    param = (draw(st.floats(-4 * math.pi, 4 * math.pi))
+             if kind in ("Ry", "CRy") else None)
+    return Gate(kind, target, control=control, param=param)
+
+
 class TestGateMatrices:
     def test_identity_rotation(self):
-        assert np.linalg.norm(gate_matrix(Gate("Ry", 3, param=0.0)) - np.eye(8)) == 0
+        u = circuit_unitary((Gate("Ry", 3, param=0.0),))
+        assert np.linalg.norm(u - np.eye(8)) == 0
 
     def test_all_gates_unitary(self, rng):
         gates = [
@@ -30,22 +47,42 @@ class TestGateMatrices:
             Gate("X", 3),
         ]
         for g in gates:
-            u = gate_matrix(g)
+            u = circuit_unitary((g,))
             assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-14
 
     def test_ch_direct_equals_decomposition(self):
         # the real involution A with A X A = H, on qubit 2, turns CNOT into CH
         a = np.array([[1.0, 1.0 + SQRT2], [1.0 + SQRT2, -1.0]]) / math.sqrt(4 + 2 * SQRT2)
         a_on_2 = np.kron(np.kron(np.eye(2), a), np.eye(2))
-        decomposed = a_on_2 @ gate_matrix(Gate("CNOT", 2, control=3)) @ a_on_2
-        direct = gate_matrix(Gate("CH", 2, control=3))
+        cnot = circuit_unitary((Gate("CNOT", 2, control=3),))
+        decomposed = a_on_2 @ cnot @ a_on_2
+        direct = circuit_unitary((Gate("CH", 2, control=3),))
         assert np.linalg.norm(direct - decomposed) <= 1e-13
 
     def test_ch_identity_on_control_off_subspace(self):
-        u = gate_matrix(Gate("CH", 2, control=3))
+        u = circuit_unitary((Gate("CH", 2, control=3),))
         # q3 = 0 indices are the even ones
         idx = [0, 2, 4, 6]
         assert np.linalg.norm(u[np.ix_(idx, idx)] - np.eye(4)) == 0
+
+    @pytest.mark.parametrize("kind, target, control", PLACEMENTS)
+    def test_each_placement_matches_kronecker_embedding(self, rng, kind,
+                                                        target, control):
+        for angle in rng.uniform(-4 * math.pi, 4 * math.pi, 5):
+            param = float(angle) if kind in ("Ry", "CRy") else None
+            g = Gate(kind, target, control=control, param=param)
+            assert np.abs(circuit_unitary((g,))
+                          - kron_gate_matrix(g)).max() <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(gates(), min_size=1, max_size=10))
+    def test_products_match_kronecker_embedding(self, circ):
+        circ = tuple(circ)
+        for g in circ:
+            assert np.abs(circuit_unitary((g,))
+                          - kron_gate_matrix(g)).max() <= 1e-15
+        assert np.abs(circuit_unitary(circ)
+                      - kron_circuit_unitary(circ)).max() <= 1e-15
 
     def test_gate_validation(self):
         with pytest.raises(DomainError):
@@ -119,6 +156,12 @@ class TestCircuitUnitary:
         expected[0b011] = expected[0b101] = 1 / SQRT2
         assert np.linalg.norm(u[:, 0b100] - expected) <= 1e-12
 
+    def test_cloner_matches_kronecker_embedding(self, rng):
+        for _ in range(200):
+            circ = build_circuit(random_params(rng))
+            assert np.abs(circuit_unitary(circ)
+                          - kron_circuit_unitary(circ)).max() <= 1e-15
+
     def test_mirror_reduction_drops_controlled_rotation(self, rng):
         for _ in range(10):
             alpha = float(rng.uniform(0, math.pi / 2))
@@ -132,7 +175,7 @@ class TestCircuitUnitary:
 
 class TestFidelityThroughCircuit:
     def test_reproduces_closed_form_on_grid(self, rng):
-        from axiclone import PureQubit, partial_trace
+        from axiclone import PureQubit
 
         for _ in range(5):
             p = random_params(rng)

@@ -685,9 +685,9 @@ def _readme_commands() -> list[str]:
 # sha256 of each README example's output (stdout, or the --out file)
 README_SHA256 = {
     "axiclone params --dist vmf:kappa=1.5":
-        "78483268967c30af8b4464fcfe728b3e962be5ff231f94a1925907c2a00fe627",
+        "375d2cf5fd351bab16139967d28d395d80780c58f681d5de9bc7d37ba4422f64",
     "axiclone sweep --dist vmf:kappa=0 --sweep kappa=0:3:301 --out sweep.csv":
-        "9c56d152d67b12030dec681b7c7874e72ddafe43fc93114f71205f721f629f7f",
+        "1be7161179078c0a07384dcb268d3992d26075d84eecf97c82f4387a77ac2170",
     "axiclone sweep --dist brosseau:P=0,mu=0 --sweep P,mu=0:0.95:96 --out tied.csv":
         "31493586ae84ef978830e40ba5ecc489885ef8bcb4ff469b65242a13df7d823c",
     "axiclone simulate --dist uniform --theta 0.7 --phi 2.1":

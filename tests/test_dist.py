@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import axiclone.dist as dist_mod
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
@@ -155,6 +155,35 @@ class TestMoments:
         a1, a2 = moments(VonMisesFisher(kappa=1e-7))
         assert a1 == pytest.approx(1e-7 / 3, rel=1e-9)
         assert a2 == pytest.approx(1e-14 / 15, rel=1e-6)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.floats(1e-150, 50.0),
+                     st.floats(-150.0, math.log10(50.0)).map(
+                         lambda e: min(max(10.0 ** e, 1e-150), 50.0))),
+           st.booleans())
+    # where coth k - 1/k cancels, and either side of the series cut
+    @example(3e-6, False)
+    @example(1.02e-6, True)
+    @example(math.nextafter(3.0, 0.0), False)
+    @example(3.0, True)
+    def test_vmf_matches_mpmath(self, kappa, negate):
+        # a1 = coth k - 1/k and a2 = 1 - 3 a1/k to 1e-15 relative, exactly
+        # odd and even in kappa
+        import mpmath
+
+        if negate:
+            kappa = -kappa
+        a1, a2 = moments(VonMisesFisher(kappa=kappa))
+        # a2 ~ k^2/15 is left after cancelling ~k^3 terms of coth k ~ 1/k
+        digits = 40 + 5 * max(0, -math.floor(math.log10(abs(kappa))))
+        with mpmath.workdps(digits):
+            k = mpmath.mpf(kappa)
+            x1 = mpmath.coth(k) - 1 / k
+            x2 = 1 - 3 * x1 / k
+            assert abs((a1 - x1) / x1) <= 1e-15
+            assert abs((a2 - x2) / x2) <= 1e-15
+        mirror = moments(VonMisesFisher(kappa=-kappa))
+        assert (mirror.a1, mirror.a2) == (-a1, a2)
 
     def test_vmf_odd_even_in_kappa(self):
         plus = moments(VonMisesFisher(kappa=2.0))

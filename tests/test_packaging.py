@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -209,9 +210,18 @@ def test_package_exports_only_what_its_callers_read():
         "Uniform", "UnsupportedKindError", "VonMisesFisher", "apply_clone",
         "average_fidelity", "build_circuit", "build_merit", "choi_fidelity",
         "choi_from_params", "circuit_unitary", "clone_fidelity_sim",
-        "clone_isometry", "dual_certificate", "gate_matrix", "load_tabulated",
+        "clone_isometry", "dual_certificate", "load_tabulated",
         "max_sampled_fidelity", "moments", "numeric_optimum",
-        "optimal_angles", "optimality_report", "partial_trace", "pcc_params",
+        "optimal_angles", "optimality_report", "pcc_params",
         "single_copy_fidelity", "spec_string", "uc_params",
         "validate_moments",
     }
+
+
+def test_lazy_names_are_each_module_all():
+    # a name a lazy module exports is resolved through _LAZY, so the two
+    # lists cannot drift apart
+    for module in ("choi", "qsim"):
+        lazy = {name for name, mod in axiclone._LAZY.items() if mod == module}
+        exported = importlib.import_module(f"axiclone.{module}").__all__
+        assert lazy == set(exported), module

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from axiclone import (DomainError, MomentPair, PureQubit, apply_clone,
                       clone_fidelity_sim, clone_isometry, optimal_angles,
-                      partial_trace, pcc_params, single_copy_fidelity,
-                      uc_params)
+                      pcc_params, single_copy_fidelity, uc_params)
 from conftest import angle_params, random_params
-from oracles import simulate_reference
+from oracles import partial_trace, simulate_reference
 
 SQRT2 = math.sqrt(2.0)
 
