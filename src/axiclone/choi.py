@@ -17,9 +17,11 @@ and k running over the two clones (identity on the other one),
                    + (1 - m2)/2 (X_in X_k + Yt_in Yt_k)],
 
 where Yt = [[0, -1], [1, 0]] from sigma_y^T (x) sigma_y = Yt (x) Yt, so R is
-real symmetric with Tr R = 2.  Optimality of the analytic cloner is
-certified two ways.  The exact one is an SDP dual point: maximising
-Tr(chi R) over chi >= 0 with Tr_clones(chi) = 1 has the dual
+real symmetric with Tr R = 2.  Its six operator terms do not depend on the
+ensemble; they are built once, at import, and each R is their weighted sum.
+Optimality of the analytic cloner is certified two ways.  The exact one is
+an SDP dual point: maximising Tr(chi R) over chi >= 0 with
+Tr_clones(chi) = 1 has the dual
 min Tr(Y) over Y (x) 1 >= R, so any Y with Y (x) 1 - R >= 0 bounds the
 fidelity of every CPTP map, whatever its ancilla.  Complementary slackness
 gives the dual point in closed form, Y = Tr_clones[R chi_opt].  The
@@ -47,6 +49,12 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.diag([1.0, -1.0])
 # sigma_y^T (x) sigma_y = _YT (x) _YT, so the merit operator is real
 _YT = np.array([[0.0, -1.0], [1.0, 0.0]])
+# the (input, clone) factors of the six terms of R, in the order of _merit's
+# coefficients; each acts on clone 1, then on clone 2
+_MERIT_TERMS = tuple(
+    np.kron(np.kron(a, b), _I2) + np.kron(np.kron(a, _I2), b)
+    for a, b in ((_I2, _I2), (_Z, _I2), (_I2, _Z), (_Z, _Z), (_X, _X),
+                 (_YT, _YT)))
 
 
 def build_merit(dist: AxisDistribution) -> np.ndarray:
@@ -58,11 +66,8 @@ def _merit(a1: float, a2: float) -> np.ndarray:
     """Merit operator R from the Legendre moments (a1, a2)."""
     m2 = (2 * a2 + 1) / 3
     s2 = (1 - m2) / 2
-    terms = ((1.0, _I2, _I2), (a1, _Z, _I2), (a1, _I2, _Z), (m2, _Z, _Z),
-             (s2, _X, _X), (s2, _YT, _YT))
-    # each (input, clone) factor acts on clone 1, then on clone 2
-    return sum(c * (np.kron(np.kron(a, b), _I2) + np.kron(np.kron(a, _I2), b))
-               for c, a, b in terms) / 8
+    return sum(c * t for c, t in zip((1.0, a1, a1, m2, s2, s2),
+                                     _MERIT_TERMS)) / 8
 
 
 def choi_from_params(p: ClonerParams) -> np.ndarray:

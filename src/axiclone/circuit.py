@@ -10,6 +10,10 @@ the cloning isometry exactly rather than up to that relabelling.
 
 When a+ = a- the controlled rotation is the identity and the remaining
 gates form the fixed mirror-symmetric cloning circuit.
+
+The circuit's 8x8 unitary is built gate by gate on a (2, 2, 2, 8) view of
+the running product: each gate mixes the two slices at its target bit 0
+and 1, taken where its control bit is set, with no Kronecker product.
 """
 
 from __future__ import annotations
@@ -99,18 +103,24 @@ def build_circuit(p: ClonerParams) -> tuple[Gate, ...]:
 def circuit_unitary(gates: tuple[Gate, ...]) -> np.ndarray:
     """Ordered product of the gate unitaries (first gate rightmost), 8x8.
 
-    A gate mixes the row pairs of the running product that differ in its
-    target bit and have its control bit set; qubit q is bit 1 << (3 - q).
+    The running product is viewed as a (2, 2, 2, 8) tensor whose first three
+    axes are the row bits of qubits 1, 2, 3 (qubit q is bit 1 << (3 - q)).
+    A gate mixes the two slices of that tensor at target bit 0 and 1, taken
+    where its control bit is set; both are views, so no row is copied.
     """
     import numpy as np
 
     u = np.eye(8, dtype=complex)
+    v = u.reshape(2, 2, 2, 8)
     for g in gates:
         (m00, m01), (m10, m11) = _KINDS[g.kind][2](g.param)
-        t = 1 << (3 - g.target)
-        c = 0 if g.control is None else 1 << (3 - g.control)
-        lo = [r for r in range(8) if not r & t and r & c == c]
-        hi = [r | t for r in lo]
-        u0, u1 = u[lo], u[hi]
-        u[lo], u[hi] = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
+        axes = [slice(None)] * 3
+        if g.control is not None:
+            axes[g.control - 1] = 1
+        axes[g.target - 1] = 0
+        lo = tuple(axes)
+        axes[g.target - 1] = 1
+        hi = tuple(axes)
+        u0, u1 = v[lo], v[hi]
+        v[lo], v[hi] = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
     return u

@@ -172,6 +172,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        # a closed pipe raises here, inside main, not at interpreter exit
+        sys.stdout.flush()
 
 
 def _params_report(d: dist_mod.AxisDistribution) -> dict:
@@ -389,6 +391,14 @@ def main(argv: list[str] | None = None) -> int:
         # a float failure no CloneError check anticipated; never a traceback
         sys.stderr.write(f"numeric error: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # the reader of stdout has gone; what is still buffered goes to
+        # devnull, so that the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error: stdout was closed before the output was written\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

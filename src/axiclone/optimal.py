@@ -30,7 +30,7 @@ import math
 from enum import Enum
 
 from ._value import Value
-from .dist import MomentPair, validate_moments
+from .dist import FEASIBILITY_TOL, MomentPair, validate_moments
 from .errors import InfeasibleMomentsError
 
 __all__ = [
@@ -132,6 +132,19 @@ def _boundary(upper: bool, gamma: float, omega: float) -> ClonerParams:
     return ClonerParams(math.pi / 2, 0.0, gamma, omega, Regime.PCC_LOWER)
 
 
+def _pole_or_raise(m: MomentPair, message: str) -> ClonerParams:
+    """The pole's cloner for m within ``FEASIBILITY_TOL`` of (+-1, 1), else an error.
+
+    There x+ x- is about 12 (a2 - 1), which can exceed ``DEGENERACY_EPS``
+    while Gamma tends to +-sqrt(2)/2 instead of the pole's +-sqrt(2), so the
+    interior formulas fail on a pair that is a pole up to the tolerance.
+    """
+    a1, a2 = m
+    if abs(abs(a1) - 1) <= FEASIBILITY_TOL and abs(a2 - 1) <= FEASIBILITY_TOL:
+        return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
+    raise InfeasibleMomentsError(message)
+
+
 def optimal_angles(m) -> ClonerParams:
     """Angles maximising the ensemble-average single-copy fidelity."""
     m = MomentPair(*m)
@@ -167,16 +180,16 @@ def optimal_angles(m) -> ClonerParams:
 
     # written as "not <=" so that a NaN Omega is rejected too
     if prod <= 0 or not omega <= 1.0 + 1e-9:
-        raise InfeasibleMomentsError(
-            f"interior stationary value {omega} (x+ x- = {prod:.3e}) at {tuple(m)}")
+        return _pole_or_raise(
+            m, f"interior stationary value {omega} (x+ x- = {prod:.3e}) at {tuple(m)}")
     omega = min(omega, 1.0)
 
     b, d = math.asin(omega), math.asin(g)
     ap, am = 0.5 * (b + d), 0.5 * (b - d)
     if not (-1e-12 <= ap <= math.pi / 2 + 1e-12
             and -1e-12 <= am <= math.pi / 2 + 1e-12):
-        raise InfeasibleMomentsError(
-            f"interior angles ({ap}, {am}) outside [0, pi/2] at {tuple(m)}")
+        return _pole_or_raise(
+            m, f"interior angles ({ap}, {am}) outside [0, pi/2] at {tuple(m)}")
     ap = min(max(ap, 0.0), math.pi / 2)
     am = min(max(am, 0.0), math.pi / 2)
     return ClonerParams(ap, am, g, omega, Regime.INTERIOR)

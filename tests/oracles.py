@@ -30,7 +30,9 @@ certificate rests on.  The array simulation (isometry matrix,
 Choi matrix of any isometry are the path the certificate's fixed-shape
 clone trace and the cloner's Choi matrix must equal bit for bit.  The
 Kronecker embedding of each gate, with its 2x2 written out per kind, is
-the reference for the row updates of :func:`axiclone.circuit_unitary`.
+the reference for the slice updates of :func:`axiclone.circuit_unitary`,
+and the merit operator summed from Kronecker products formed per call is
+the reference for the precomputed terms of :func:`axiclone.build_merit`.
 """
 
 import heapq
@@ -357,6 +359,25 @@ def kron_circuit_unitary(gates) -> np.ndarray:
     for g in gates:
         u = kron_gate_matrix(g) @ u
     return u
+
+
+def kron_merit(a1: float, a2: float) -> np.ndarray:
+    """Merit operator R(a1, a2) with every Kronecker product formed per call.
+
+    The formula :func:`axiclone.choi._merit` had before its six terms were
+    precomputed; the two must agree bit for bit, signed zeros included.
+    """
+    i2 = np.eye(2)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    yt = np.array([[0.0, -1.0], [1.0, 0.0]])
+    m2 = (2 * a2 + 1) / 3
+    s2 = (1 - m2) / 2
+    terms = ((1.0, i2, i2), (a1, z, i2), (a1, i2, z), (m2, z, z),
+             (s2, x, x), (s2, yt, yt))
+    # each (input, clone) factor acts on clone 1, then on clone 2
+    return sum(c * (np.kron(np.kron(a, b), i2) + np.kron(np.kron(a, i2), b))
+               for c, a, b in terms) / 8
 
 
 def merit_kernel_reference(x: np.ndarray) -> np.ndarray:

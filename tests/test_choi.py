@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
                       HenyeyGreenstein, MomentPair, NonHermitianError,
                       Uniform, VonMisesFisher, average_fidelity, build_merit,
                       choi_fidelity, choi_from_params, clone_isometry,
                       dual_certificate, max_sampled_fidelity, moments,
-                      optimal_angles, pcc_params, uc_params)
+                      optimal_angles, pcc_params, uc_params,
+                      validate_moments)
 from axiclone import choi
+from axiclone.dist import FEASIBILITY_TOL
 from conftest import (angle_params, assert_primal_optimum,
                       random_distribution, random_params)
 from oracles import (block_basis, choi_from_isometry, density, haar_isometry,
-                     integrate_marginal, lapack_fidelities,
+                     integrate_marginal, kron_merit, lapack_fidelities,
                      lapack_haar_isometry, merit_kernel_reference,
                      partial_trace, random_cptp, row_fidelity,
                      sampled_fidelity_loop, symmetry_blocks)
@@ -39,6 +41,22 @@ def assert_cptp(chi):
     assert np.linalg.eigvalsh(chi).min() >= -1e-10
     assert np.trace(chi).real == pytest.approx(2.0, abs=1e-10)
     assert np.linalg.norm(partial_trace(chi, {1}) - np.eye(2)) <= 1e-10
+
+
+@st.composite
+def _accepted_moments(draw):
+    """A pair ``validate_moments`` accepts: inside, on the variance bound,
+    at a2 = 1, with a1 = +-0.0 and +-1, and in the tolerance's slack."""
+    a1 = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1 - FEASIBILITY_TOL, 1 + FEASIBILITY_TOL)))
+    low = (3 * a1 * a1 - 1) / 2
+    a2 = draw(st.one_of(
+        st.sampled_from([low, 1.0, low - FEASIBILITY_TOL,
+                         1 + FEASIBILITY_TOL]),
+        st.floats(min(low, 1.0), 1.0)))
+    assume(validate_moments((a1, a2)))
+    return a1, a2
 
 
 class TestMeritOperator:
@@ -68,6 +86,21 @@ class TestMeritOperator:
                 f_opt, abs=1e-12)
             tr_y, _ = dual_certificate(r, p)
             assert abs(tr_y - f_opt) <= 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(_accepted_moments())
+    def test_precomputed_terms_equal_kronecker_sum_bit_for_bit(self, m):
+        got, want = choi._merit(*m), kron_merit(*m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_build_merit_never_calls_kron(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_merit called numpy.kron")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        r = build_merit(VonMisesFisher(kappa=1.0))
+        assert np.trace(r) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_masses_equal_reference_kernel(self):
         # the azimuthal-kernel integrand at one latitude is the merit

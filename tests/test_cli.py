@@ -674,6 +674,27 @@ def test_table_path_that_is_not_utf8_is_valid_json(tmp_path, argv, to_file,
     assert rep["distribution"] == "table:" + os.fsdecode(path)
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [
+    ("params", "--dist", "vmf:kappa=1.5"),
+    ("sweep", "--dist", "vmf:kappa=0", "--sweep", "kappa=0:3:301")])
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
+    # the reader is gone before the first byte is written: exit 1 with one
+    # error line, no traceback, and nothing from the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    try:
+        result = subprocess.run([sys.executable, "-m", "axiclone.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr.decode() == (
+        "error: stdout was closed before the output was written\n")
+
+
 def _readme_commands() -> list[str]:
     """The ``axiclone ...`` lines of README's "Command line" block."""
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

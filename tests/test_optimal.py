@@ -10,8 +10,9 @@ from axiclone import (Brosseau, DeltaPair, InfeasibleMomentsError,
                       MomentPair, Regime, UC_ALPHA, VonMisesFisher,
                       average_fidelity, moments, numeric_optimum,
                       optimal_angles, pcc_params, single_copy_fidelity,
-                      uc_params)
+                      uc_params, validate_moments)
 from axiclone import cli, dist, optimal
+from axiclone.dist import FEASIBILITY_TOL
 from conftest import (angle_params, random_distribution,
                       random_feasible_moments)
 from oracles import (branch_search_angles, density, integrate_marginal,
@@ -86,11 +87,38 @@ class TestOptimalAngles:
 
     @pytest.mark.parametrize("m", [MomentPair(1.0, 1.0 + 1e-12),
                                    MomentPair(-1.0, 1.0 + 1e-13)])
-    def test_no_interior_angles_in_range_is_an_error(self, m):
+    def test_just_above_a_pole_is_the_pole_cloner(self, m):
         # just above a pole, inside the feasibility tolerance, |Gamma| is
-        # sqrt(2)/2 but no arcsin branch puts both angles in [0, pi/2]
-        with pytest.raises(InfeasibleMomentsError, match="outside"):
-            optimal_angles(m)
+        # sqrt(2)/2 and no arcsin branch puts both angles in [0, pi/2]; the
+        # pair is that pole up to the tolerance
+        p = optimal_angles(m)
+        assert _fields(p) == _fields(_pole_cloner(m))
+        assert average_fidelity(m, p) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pole_neighbourhood_grid(self, sign):
+        # 25 x 25 pairs within the feasibility tolerance of a pole; the
+        # interior formulas fail on most of them, and those get the pole's
+        # cloner with its diagnostics, while the rest keep the branch
+        # search's answer bit for bit
+        pole = _pole_cloner((sign, 1.0))
+        for i in range(-12, 13):
+            for j in range(-12, 13):
+                m = MomentPair(sign * (1 + i * 1e-13), 1 + j * 1e-12)
+                p = optimal_angles(m)
+                assert abs(average_fidelity(m, p) - 1) <= 1e-9
+                want = _outcome(branch_search_angles, m)
+                if want in (AssertionError, InfeasibleMomentsError):
+                    want = _fields(_pole_cloner(m))
+                assert _fields(p) == want
+                if m.a2 == 1.0 and abs(m.a1) < 1:
+                    # a mixture of both poles: the interior optimum is the
+                    # Z-basis copier (0, 0), which ties at F = 1
+                    assert (p.regime, p.alpha_plus, p.alpha_minus) == (
+                        Regime.INTERIOR, 0.0, 0.0)
+                else:
+                    assert (p.regime, p.alpha_plus, p.alpha_minus) == (
+                        pole.regime, pole.alpha_plus, pole.alpha_minus)
 
     def test_interior_invariant_sin_sum_equals_omega(self, rng):
         seen = 0
@@ -301,14 +329,31 @@ _BRANCH_MOMENTS = st.one_of(
 )
 
 
+def _fields(p):
+    """A cloner's fields as exact bit patterns."""
+    return (p.alpha_plus.hex(), p.alpha_minus.hex(), p.gamma.hex(),
+            p.omega_value.hex(), p.regime)
+
+
 def _outcome(angles, m):
     """A cloner's fields as exact bit patterns, or the type of its error."""
     try:
         p = angles(m)
     except (InfeasibleMomentsError, AssertionError) as exc:
         return type(exc)
-    return (p.alpha_plus.hex(), p.alpha_minus.hex(), p.gamma.hex(),
-            p.omega_value.hex(), p.regime)
+    return _fields(p)
+
+
+def _pole_cloner(m) -> optimal.ClonerParams:
+    """The boundary cloner of the pole on the side of a1, as at the pole."""
+    return optimal._boundary(m[0] > 0, math.copysign(SQRT2, m[0]), math.nan)
+
+
+def _near_pole(m) -> bool:
+    """A feasible pair within the feasibility tolerance of (+-1, 1)."""
+    a1, a2 = m
+    return (validate_moments(m) and abs(abs(a1) - 1) <= FEASIBILITY_TOL
+            and abs(a2 - 1) <= FEASIBILITY_TOL)
 
 
 def _sweep_pcc_column(m: MomentPair) -> float:
@@ -331,7 +376,11 @@ class TestBranchChoice:
         got = _outcome(optimal_angles, m)
         want = _outcome(branch_search_angles, m)
         # where no candidate is in range the search stops at its assert,
-        # and the closed form raises instead
+        # and the closed form raises instead; within the feasibility
+        # tolerance of a pole, where the search fails, it returns that
+        # pole's cloner
+        if want in (AssertionError, InfeasibleMomentsError) and _near_pole(m):
+            want = _fields(_pole_cloner(m))
         assert got == (InfeasibleMomentsError if want is AssertionError
                        else want)
 
