@@ -212,7 +212,7 @@ def optimality_report(dist: AxisDistribution, n_samples: int,
     m = moments(dist)
     params = optimal_angles(m)
     f_opt = average_fidelity(m, params)
-    r = _merit(*m)
+    r = build_merit(dist)
     env_dims = (1, 2, 4)
     sampled = max_sampled_fidelity(r, n_samples, seed=seed, env_dims=env_dims)
     tr_y, lam = dual_certificate(r, params)

@@ -100,8 +100,8 @@ def build_circuit(p: ClonerParams) -> tuple[Gate, ...]:
 # The 8x8 matrix view below is the only numpy user in this module; it imports
 # numpy on first call, so building and printing a circuit never loads it.
 
-def circuit_unitary(gates: tuple[Gate, ...]) -> np.ndarray:
-    """Ordered product of the gate unitaries (first gate rightmost), 8x8.
+def circuit_unitary(gates: tuple[Gate, ...]):
+    """Complex 8x8 numpy product of the gate unitaries, first gate rightmost.
 
     The running product is viewed as a (2, 2, 2, 8) tensor whose first three
     axes are the row bits of qubits 1, 2, 3 (qubit q is bit 1 << (3 - q)).

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
-                      HenyeyGreenstein, MomentPair, Regime, Uniform,
-                      VonMisesFisher, average_fidelity, build_merit,
-                      choi_from_params, moments, optimal_angles)
+from axiclone.choi import build_merit, choi_from_params
+from axiclone.dist import (Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein,
+                           MomentPair, Uniform, VonMisesFisher, moments)
+from axiclone.optimal import (ClonerParams, Regime, average_fidelity,
+                              optimal_angles)
 
 from oracles import partial_trace, primal_sdp_max
 

@@ -9,30 +9,30 @@ every CPTP map with a log-det barrier (Audenaert & De Moor, PRA 65, 030302
 (2002), for channel optimisation as an SDP), reading nothing of the closed
 form, so its optimum checks the analytic cloner from the primal side, as the
 dual certificate checks it from the other.  The Haar loop is the
-one-sample-at-a-time sweep the batched :func:`axiclone.max_sampled_fidelity`
-must reproduce exactly: row k of one ``default_rng(seed)`` stream, one
-Gram-Schmidt step, diag(R) > 0, per environment, written out on 1-D arrays;
-its sample 0 is :func:`haar_isometry`, whose channel :func:`random_cptp`
-gives the tests a Haar-random CPTP map per seed.  The LAPACK QR and
-complex-contraction path it replaced is kept as an independent reference,
-equal to rounding.  The merit kernel, the merit integrand built from
-explicit pure states and summed over a 16-point azimuth grid, is the
-independent reference for the closed-form :func:`axiclone.build_merit`:
-equal at each latitude and, integrated against a density, equal to
-quadrature accuracy.  The vMF regime threshold is found by bisection on
-Gamma.  The branch search picks the closed form's arcsin branch and
-boundary side by evaluating each candidate cloner, where the package uses
-two identities instead.  The symmetry blocks split an 8x8 operator along
-the axis-rotation and clone-swap symmetry, the structure the dual
-certificate rests on.  The array simulation (isometry matrix,
-``np.outer`` state and einsum partial trace) is the reference the scalar
-:mod:`axiclone.qsim` must reproduce.  The general partial trace and the
-Choi matrix of any isometry are the path the certificate's fixed-shape
+one-sample-at-a-time sweep the batched
+:func:`axiclone.choi.max_sampled_fidelity` must reproduce exactly: row k of
+one ``default_rng(seed)`` stream, one Gram-Schmidt step, diag(R) > 0, per
+environment, written out on 1-D arrays; its sample 0 is
+:func:`haar_isometry`, whose channel :func:`random_cptp` gives the tests a
+Haar-random CPTP map per seed.  The LAPACK QR and complex-contraction path
+it replaced is kept as an independent reference, equal to rounding.  The
+merit kernel, the merit integrand built from explicit pure states and summed
+over a 16-point azimuth grid, is the independent reference for the
+closed-form :func:`axiclone.choi.build_merit`: equal at each latitude and,
+integrated against a density, equal to quadrature accuracy.  The vMF regime
+threshold is found by bisection on Gamma.  The branch search picks the
+closed form's arcsin branch and boundary side by evaluating each candidate
+cloner, where the package uses two identities instead.  The symmetry blocks
+split an 8x8 operator along the axis-rotation and clone-swap symmetry, the
+structure the dual certificate rests on.  The array simulation (isometry
+matrix, ``np.outer`` state and einsum partial trace) is the reference the
+scalar :mod:`axiclone.qsim` must reproduce.  The general partial trace and
+the Choi matrix of any isometry are the path the certificate's fixed-shape
 clone trace and the cloner's Choi matrix must equal bit for bit.  The
-Kronecker embedding of each gate, with its 2x2 written out per kind, is
-the reference for the slice updates of :func:`axiclone.circuit_unitary`,
-and the merit operator summed from Kronecker products formed per call is
-the reference for the precomputed terms of :func:`axiclone.build_merit`.
+Kronecker embedding of each gate, with its 2x2 written out per kind, is the
+reference for the slice updates of :func:`axiclone.circuit.circuit_unitary`,
+and the merit operator summed from Kronecker products formed per call is the
+reference for the precomputed terms of :func:`axiclone.choi.build_merit`.
 """
 
 import heapq
@@ -43,13 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from axiclone import (ClonerParams, DomainError, InfeasibleMomentsError,
-                      MomentPair, Regime, UnsupportedKindError,
-                      VonMisesFisher, average_fidelity, moments,
-                      optimal_angles, pcc_params, validate_moments)
 from axiclone.choi import _hermitian_8x8
-from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, _boundary,
-                              _omega)
+from axiclone.dist import MomentPair, VonMisesFisher, moments, validate_moments
+from axiclone.errors import (DomainError, InfeasibleMomentsError,
+                             UnsupportedKindError)
+from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, ClonerParams,
+                              Regime, _boundary, _omega, average_fidelity,
+                              optimal_angles, pcc_params)
 
 
 class QuadratureError(ArithmeticError):
@@ -440,7 +440,7 @@ def random_cptp(seed: int, env_dim: int = 1) -> np.ndarray:
     env_dim=1 reproduces the cloner's own shape (three-qubit isometry, the
     ancilla qubit traced out, Kraus rank 2); env_dim=4 reaches full rank 8.
     Deterministic per seed, and the channel of sample 0 of
-    :func:`axiclone.max_sampled_fidelity` with the same seed.
+    :func:`axiclone.choi.max_sampled_fidelity` with the same seed.
     """
     return choi_from_isometry(haar_isometry(seed, env_dim))
 
@@ -563,9 +563,9 @@ def branch_search_angles(m) -> ClonerParams:
     """The closed-form cloner, its branch found by search.
 
     Chooses the arcsin branch and the boundary side by evaluating every
-    candidate cloner and keeping the best.  :func:`axiclone.optimal_angles`
-    picks them from two identities of the fidelity formula instead, and must
-    agree with this bit for bit.
+    candidate cloner and keeping the best.
+    :func:`axiclone.optimal.optimal_angles` picks them from two identities of
+    the fidelity formula instead, and must agree with this bit for bit.
     """
     m = MomentPair(*m)
     if not validate_moments(m):

@@ -9,13 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from axiclone import (Brosseau, Delta, DeltaPair, PureQubit, Regime,
-                      Uniform, VonMisesFisher, average_fidelity,
-                      build_circuit, build_merit, choi_fidelity,
-                      choi_from_params, circuit_unitary, clone_fidelity_sim,
-                      clone_isometry, dual_certificate, max_sampled_fidelity,
-                      moments, optimal_angles, pcc_params,
-                      single_copy_fidelity)
+from axiclone.choi import (build_merit, choi_fidelity, choi_from_params,
+                           dual_certificate, max_sampled_fidelity)
+from axiclone.circuit import build_circuit, circuit_unitary
+from axiclone.dist import (Brosseau, Delta, DeltaPair, Uniform, VonMisesFisher,
+                           moments)
+from axiclone.optimal import (Regime, average_fidelity, optimal_angles,
+                              pcc_params, single_copy_fidelity)
+from axiclone.qsim import PureQubit, clone_fidelity_sim, clone_isometry
 
 from conftest import angle_params, assert_primal_optimum, random_params
 from oracles import (density, integrate_marginal, quadrature_moments,

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
-                      HenyeyGreenstein, MomentPair, NonHermitianError,
-                      Uniform, VonMisesFisher, average_fidelity, build_merit,
-                      choi_fidelity, choi_from_params, clone_isometry,
-                      dual_certificate, max_sampled_fidelity, moments,
-                      optimal_angles, pcc_params, uc_params,
-                      validate_moments)
+from axiclone.choi import (build_merit, choi_fidelity, choi_from_params,
+                           dual_certificate, max_sampled_fidelity)
+from axiclone.dist import (FEASIBILITY_TOL, Belt, Brosseau, Delta, DeltaPair,
+                           HenyeyGreenstein, MomentPair, Uniform,
+                           VonMisesFisher, moments, validate_moments)
+from axiclone.errors import DomainError, NonHermitianError
+from axiclone.optimal import (average_fidelity, optimal_angles, pcc_params,
+                              uc_params)
+from axiclone.qsim import clone_isometry
 from axiclone import choi
-from axiclone.dist import FEASIBILITY_TOL
 from conftest import (angle_params, assert_primal_optimum,
                       random_distribution, random_params)
 from oracles import (block_basis, choi_from_isometry, density, haar_isometry,

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (DomainError, Gate, MomentPair, build_circuit,
-                      circuit_unitary, clone_isometry, optimal_angles,
-                      pcc_params, single_copy_fidelity, uc_params)
+from axiclone.circuit import Gate, build_circuit, circuit_unitary
+from axiclone.dist import MomentPair
+from axiclone.errors import DomainError
+from axiclone.optimal import (optimal_angles, pcc_params, single_copy_fidelity,
+                              uc_params)
+from axiclone.qsim import clone_isometry
 from conftest import angle_params, random_params
 from oracles import kron_circuit_unitary, kron_gate_matrix, partial_trace
 
@@ -175,7 +178,7 @@ class TestCircuitUnitary:
 
 class TestFidelityThroughCircuit:
     def test_reproduces_closed_form_on_grid(self, rng):
-        from axiclone import PureQubit
+        from axiclone.qsim import PureQubit
 
         for _ in range(5):
             p = random_params(rng)

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from axiclone import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
-                      HenyeyGreenstein, MomentPair, Uniform, VonMisesFisher)
 from axiclone import choi as choi_mod
 from axiclone import cli
 from axiclone import dist as dist_mod
 from axiclone.cli import main, parse_dist, render_json
-from axiclone.dist import spec_string
+from axiclone.dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
+                           HenyeyGreenstein, MomentPair, Uniform,
+                           VonMisesFisher, spec_string)
 from axiclone.errors import ParseError, UnsupportedKindError
 
 from conftest import KIND_STRATEGIES, random_distribution
@@ -608,6 +608,18 @@ class TestVerifyCommand:
         assert code == 3
         assert rep["max_sampled_F"] <= rep["F_opt"]
         assert rep["F_upper"] - rep["F_opt"] > 1e-9
+
+    def test_builds_merit_once_through_build_merit(self, capsys, monkeypatch):
+        # the certificate's R comes from build_merit, so a tracer that wraps
+        # it sees the merit construction of every verify call
+        calls = []
+        build = choi_mod.build_merit
+        monkeypatch.setattr(choi_mod, "build_merit",
+                            lambda d: calls.append(d) or build(d))
+        code, _, _ = run_cli(capsys, "verify", "--dist", "vmf:kappa=1.5",
+                             "--samples", "5")
+        assert code == 0
+        assert calls == [VonMisesFisher(kappa=1.5)]
 
 
 class TestCircuitCommand:

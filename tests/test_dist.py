@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import axiclone.dist as dist_mod
-from axiclone import (Belt, Brosseau, Delta, DeltaPair, DomainError,
-                      HenyeyGreenstein, Tabulated, Uniform, UnsupportedKindError,
-                      VonMisesFisher, load_tabulated, moments, validate_moments)
+from axiclone.dist import (Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein,
+                           Tabulated, Uniform, VonMisesFisher, load_tabulated,
+                           moments, validate_moments)
+from axiclone.errors import DomainError, UnsupportedKindError
 
 from conftest import random_distribution
 from oracles import (QuadratureError, marginal_density, normalization_integral,

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Brosseau, DeltaPair, InfeasibleMomentsError,
-                      MomentPair, Regime, UC_ALPHA, VonMisesFisher,
-                      average_fidelity, moments, numeric_optimum,
-                      optimal_angles, pcc_params, single_copy_fidelity,
-                      uc_params, validate_moments)
+from axiclone.dist import (FEASIBILITY_TOL, Brosseau, DeltaPair, MomentPair,
+                           VonMisesFisher, moments, validate_moments)
+from axiclone.errors import InfeasibleMomentsError
+from axiclone.optimal import (Regime, UC_ALPHA, average_fidelity,
+                              numeric_optimum, optimal_angles, pcc_params,
+                              single_copy_fidelity, uc_params)
 from axiclone import cli, dist, optimal
-from axiclone.dist import FEASIBILITY_TOL
 from conftest import (angle_params, random_distribution,
                       random_feasible_moments)
 from oracles import (branch_search_angles, density, integrate_marginal,

@@ -2,10 +2,12 @@ import argparse
 import ast
 import importlib
 import os
+import site
 import subprocess
 import sys
 import textwrap
 import types
+import typing
 from pathlib import Path
 
 import axiclone
@@ -13,15 +15,8 @@ from axiclone import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-
-def test_import_does_not_load_scipy():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import axiclone, sys; assert 'scipy' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+# the modules that compute the paper's answer, each with its public __all__
+_API_MODULES = ("dist", "optimal", "qsim", "circuit", "choi")
 
 
 # one call of each scalar command, as a user runs it
@@ -33,49 +28,59 @@ _SCALAR_COMMANDS = (
 )
 
 
-def _cold_imports(argv, *flags) -> set[str]:
-    """Modules a fresh ``python -m axiclone.cli`` process imports.
+def _cold_imports(*args: str) -> set[str]:
+    """Modules a fresh ``python -X importtime *args`` process imports.
 
     ``-X importtime`` lists every module the process imports on stderr.
+    The site-packages directories are on PYTHONPATH, so under ``-S`` a
+    third-party module can still be imported, but none of their ``.pth``
+    files runs: it is imported only if the package itself imports it.
     """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run(
-        [sys.executable, *flags, "-X", "importtime", "-m", "axiclone.cli",
-         *argv], env=env, capture_output=True, text=True, timeout=120)
+    path = os.pathsep.join([str(SRC), *site.getsitepackages()])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     return {line.rsplit("|", 1)[-1].strip()
             for line in result.stderr.splitlines()
-            if line.startswith("import time:")}
+            if line.startswith("import time:")
+            and not line.endswith("| imported package")}
+
+
+def test_import_and_scalar_commands_load_only_the_stdlib():
+    # the package import and a cold params / circuit / sweep / simulate
+    # load nothing outside the standard library but the package itself
+    runs = [("-c", "import axiclone")]
+    runs += [("-m", "axiclone.cli", *argv) for argv in _SCALAR_COMMANDS]
+    for run in runs:
+        imported = _cold_imports("-S", *run)
+        assert "axiclone" in imported, run
+        foreign = {name for name in imported
+                   if name.split(".")[0] not in sys.stdlib_module_names
+                   and name.split(".")[0] != "axiclone"}
+        assert not foreign, f"{run} loaded {sorted(foreign)}"
 
 
 def test_scalar_commands_do_not_load_numpy():
     # the closed form, the moments, the gate list and the simulation are
-    # scalar math: the package import and params / circuit / sweep /
-    # simulate run without numpy, and the numpy-backed names still resolve
-    # on first access
+    # scalar math: the package import loads none of its modules, params /
+    # circuit / sweep / simulate run without numpy, and choi loads it
     code = textwrap.dedent("""
         import sys
         import axiclone
         assert "numpy" not in sys.modules, "import axiclone loaded numpy"
-        for name in ("build_merit", "PureQubit", "circuit_unitary"):
-            assert name in dir(axiclone), name
-            assert callable(getattr(axiclone, name)), name
-        assert "numpy" in sys.modules
-        for name in dir(axiclone):
-            getattr(axiclone, name)
-        try:
-            axiclone.no_such_name
-        except AttributeError:
-            pass
-        else:
-            raise AssertionError("unknown attribute resolved")
+        loaded = [m for m in sys.modules if m.startswith("axiclone.")]
+        assert not loaded, f"import axiclone loaded {loaded}"
+        import axiclone.choi
+        assert "numpy" in sys.modules, "import axiclone.choi loaded no numpy"
     """)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     for argv in _SCALAR_COMMANDS:
-        imported = _cold_imports(argv)
+        imported = _cold_imports("-m", "axiclone.cli", *argv)
         assert "axiclone.optimal" in imported, argv
         assert "numpy" not in imported, f"{argv[0]} loaded numpy"
 
@@ -85,7 +90,7 @@ def test_scalar_commands_load_no_class_generator():
     # dataclasses nor the inspect and typing modules; -S keeps the .pth
     # files of site-packages, which may import typing, out of the process
     for argv in _SCALAR_COMMANDS:
-        imported = _cold_imports(argv, "-S")
+        imported = _cold_imports("-S", "-m", "axiclone.cli", *argv)
         assert "axiclone.optimal" in imported, argv
         loaded = imported & {"dataclasses", "typing", "inspect"}
         assert not loaded, f"{argv[0]} loaded {sorted(loaded)}"
@@ -198,30 +203,80 @@ def test_each_command_takes_only_its_own_options():
 
 
 def test_package_exports_only_what_its_callers_read():
-    # the commands, the benchmark and the README read these names; a helper
+    # the package root exports nothing but its submodules; the commands and
+    # the benchmark read the names below from their modules, and a helper
     # only tests call lives in tests/, so adding one here must fail
-    exported = {name for name in dir(axiclone) if not name.startswith("_")
-                and not isinstance(getattr(axiclone, name), types.ModuleType)}
+    for name in vars(axiclone):
+        if not name.startswith("_"):
+            value = getattr(axiclone, name)
+            assert isinstance(value, types.ModuleType), name
+            assert value is sys.modules[f"axiclone.{name}"], name
+    exported = set()
+    for module in _API_MODULES:
+        exported |= set(importlib.import_module(f"axiclone.{module}").__all__)
     assert exported == {
-        "AxisDistribution", "Belt", "Brosseau", "CloneError", "ClonerParams",
-        "Delta", "DeltaPair", "DomainError", "Gate", "HenyeyGreenstein",
-        "InfeasibleMomentsError", "MomentPair", "NonHermitianError",
-        "ParseError", "PureQubit", "Regime", "Tabulated", "UC_ALPHA",
-        "Uniform", "UnsupportedKindError", "VonMisesFisher", "apply_clone",
-        "average_fidelity", "build_circuit", "build_merit", "choi_fidelity",
-        "choi_from_params", "circuit_unitary", "clone_fidelity_sim",
-        "clone_isometry", "dual_certificate", "load_tabulated",
-        "max_sampled_fidelity", "moments", "numeric_optimum",
-        "optimal_angles", "optimality_report", "pcc_params",
-        "single_copy_fidelity", "spec_string", "uc_params",
+        "AxisDistribution", "Belt", "Brosseau", "ClonerParams", "Delta",
+        "DeltaPair", "Gate", "HenyeyGreenstein", "KINDS", "MomentPair",
+        "PureQubit", "Regime", "Tabulated", "UC_ALPHA", "Uniform",
+        "VonMisesFisher", "apply_clone", "average_fidelity", "build_circuit",
+        "build_merit", "choi_fidelity", "choi_from_params", "circuit_unitary",
+        "clone_fidelity_sim", "clone_isometry", "dual_certificate",
+        "load_tabulated", "max_sampled_fidelity", "moments",
+        "numeric_optimum", "optimal_angles", "optimality_report",
+        "pcc_params", "single_copy_fidelity", "spec_string", "uc_params",
         "validate_moments",
     }
 
 
-def test_lazy_names_are_each_module_all():
-    # a name a lazy module exports is resolved through _LAZY, so the two
-    # lists cannot drift apart
-    for module in ("choi", "qsim"):
-        lazy = {name for name, mod in axiclone._LAZY.items() if mod == module}
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds by a def, a class or an assignment of its own."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_each_module_all_names_are_defined_there():
+    # each public name has one import path, the module that defines it, so
+    # an __all__ entry that only re-exports another module's name must fail
+    for module in _API_MODULES:
         exported = importlib.import_module(f"axiclone.{module}").__all__
-        assert lazy == set(exported), module
+        assert len(exported) == len(set(exported)), module
+        tree = ast.parse((SRC / "axiclone" / f"{module}.py").read_text(
+            encoding="utf-8"))
+        missing = set(exported) - _top_level_definitions(tree)
+        assert not missing, f"{module} does not define {sorted(missing)}"
+
+
+def _functions(cls_or_module) -> list:
+    """Functions and methods a module or class defines itself."""
+    found = []
+    for value in vars(cls_or_module).values():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        if isinstance(value, property):
+            found += [f for f in (value.fget, value.fset) if f is not None]
+        elif isinstance(value, types.FunctionType):
+            found.append(value)
+    return found
+
+
+def test_every_annotation_resolves():
+    # an annotation naming a module the code imports only inside a function
+    # cannot be evaluated; get_type_hints must resolve every one in src/
+    checked = 0
+    for path in sorted((SRC / "axiclone").glob("*.py")):
+        name = "axiclone" if path.stem == "__init__" else f"axiclone.{path.stem}"
+        module = importlib.import_module(name)
+        functions = [f for f in _functions(module) if f.__module__ == name]
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == name:
+                functions += _functions(value)
+        for function in functions:
+            typing.get_type_hints(function)
+            checked += 1
+    assert checked > 50

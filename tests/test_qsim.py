@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (DomainError, MomentPair, PureQubit, apply_clone,
-                      clone_fidelity_sim, clone_isometry, optimal_angles,
-                      pcc_params, single_copy_fidelity, uc_params)
+from axiclone.dist import MomentPair
+from axiclone.errors import DomainError
+from axiclone.optimal import (optimal_angles, pcc_params, single_copy_fidelity,
+                              uc_params)
+from axiclone.qsim import (PureQubit, apply_clone, clone_fidelity_sim,
+                           clone_isometry)
 from conftest import angle_params, random_params
 from oracles import partial_trace, simulate_reference
 

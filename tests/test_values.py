@@ -15,9 +15,12 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone import (Belt, Brosseau, ClonerParams, Delta, DeltaPair,
-                      DomainError, Gate, MomentPair, PureQubit, Regime,
-                      Tabulated, Uniform, VonMisesFisher)
+from axiclone.circuit import Gate
+from axiclone.dist import (Belt, Brosseau, Delta, DeltaPair, MomentPair,
+                           Tabulated, Uniform, VonMisesFisher)
+from axiclone.errors import DomainError
+from axiclone.optimal import ClonerParams, Regime
+from axiclone.qsim import PureQubit
 from axiclone import dist as dist_mod
 
 from conftest import KIND_STRATEGIES
