@@ -132,17 +132,21 @@ def _boundary(upper: bool, gamma: float, omega: float) -> ClonerParams:
     return ClonerParams(math.pi / 2, 0.0, gamma, omega, Regime.PCC_LOWER)
 
 
-def _pole_or_raise(m: MomentPair, message: str) -> ClonerParams:
-    """The pole's cloner for m within ``FEASIBILITY_TOL`` of (+-1, 1), else an error.
+def _pole_or(m: MomentPair, fallback: ClonerParams) -> ClonerParams:
+    """The pole's cloner for m within ``FEASIBILITY_TOL`` of (+-1, 1), else ``fallback``.
 
     There x+ x- is about 12 (a2 - 1), which can exceed ``DEGENERACY_EPS``
     while Gamma tends to +-sqrt(2)/2 instead of the pole's +-sqrt(2), so the
     interior formulas fail on a pair that is a pole up to the tolerance.
+    Further out, up to about 3e-7 from a pole, rounding can still fail them
+    on a feasible pair, and ``fallback`` is returned: the boundary cloner
+    where x+ x- or Omega is out of range, the angles clamped to [0, pi/2]
+    where they are.  Each is within rounding of the grid optimum there.
     """
     a1, a2 = m
     if abs(abs(a1) - 1) <= FEASIBILITY_TOL and abs(a2 - 1) <= FEASIBILITY_TOL:
         return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
-    raise InfeasibleMomentsError(message)
+    return fallback
 
 
 def optimal_angles(m) -> ClonerParams:
@@ -178,21 +182,19 @@ def optimal_angles(m) -> ClonerParams:
     if abs(g) >= 1.0:
         return _boundary(a1 >= 0, g, omega)
 
-    # written as "not <=" so that a NaN Omega is rejected too
+    # written as "not <=" so that a NaN Omega takes this path too
     if prod <= 0 or not omega <= 1.0 + 1e-9:
-        return _pole_or_raise(
-            m, f"interior stationary value {omega} (x+ x- = {prod:.3e}) at {tuple(m)}")
+        return _pole_or(m, _boundary(a1 >= 0, g, omega))
     omega = min(omega, 1.0)
 
     b, d = math.asin(omega), math.asin(g)
     ap, am = 0.5 * (b + d), 0.5 * (b - d)
+    p = ClonerParams(min(max(ap, 0.0), math.pi / 2),
+                     min(max(am, 0.0), math.pi / 2), g, omega, Regime.INTERIOR)
     if not (-1e-12 <= ap <= math.pi / 2 + 1e-12
             and -1e-12 <= am <= math.pi / 2 + 1e-12):
-        return _pole_or_raise(
-            m, f"interior angles ({ap}, {am}) outside [0, pi/2] at {tuple(m)}")
-    ap = min(max(ap, 0.0), math.pi / 2)
-    am = min(max(am, 0.0), math.pi / 2)
-    return ClonerParams(ap, am, g, omega, Regime.INTERIOR)
+        return _pole_or(m, p)
+    return p
 
 
 def numeric_optimum(m):

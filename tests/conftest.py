@@ -10,7 +10,7 @@ from axiclone.dist import (Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein,
 from axiclone.optimal import (ClonerParams, Regime, average_fidelity,
                               optimal_angles)
 
-from oracles import partial_trace, primal_sdp_max
+from oracles import extremal_iteration, partial_trace
 
 _POLAR = st.floats(0.0, math.pi)
 
@@ -78,14 +78,14 @@ def random_distribution(rng, density_only: bool = False):
 
 
 def assert_primal_optimum(dist, pinned: bool = True):
-    """The primal SDP solve meets F_opt from below on a CPTP chi; (F, chi).
+    """The extremal iteration meets F_opt from below on a CPTP chi; (F, chi).
 
     ``pinned`` asserts chi = chi_opt too, where the optimum is one point.
     """
     m = moments(dist)
     p = optimal_angles(m)
     f_opt = average_fidelity(m, p)
-    f, chi = primal_sdp_max(build_merit(dist))
+    f, chi = extremal_iteration(build_merit(dist))
     assert f <= f_opt + 1e-12
     assert abs(f - f_opt) <= 1e-10
     assert np.abs(chi - chi.T).max() <= 1e-12

@@ -4,12 +4,11 @@ The package computes every Legendre moment in closed form.  The densities
 below, one per kind written out from the formula in its docstring, and the
 adaptive Gauss-Legendre quadrature that integrates them are the independent
 path those moments, the normalisation, the merit operator and the average
-fidelity are checked against.  The primal solver maximises Tr(chi R) over
-every CPTP map with a log-det barrier (Audenaert & De Moor, PRA 65, 030302
-(2002), for channel optimisation as an SDP), reading nothing of the closed
-form, so its optimum checks the analytic cloner from the primal side, as the
-dual certificate checks it from the other.  The Haar loop is the
-one-sample-at-a-time sweep the batched
+fidelity are checked against.  Fiurasek's extremal iteration maximises
+Tr(chi R) over every CPTP map through CPTP iterates only, reading nothing of
+the closed form, so its fixed point checks the analytic cloner from the
+primal side, as the dual certificate checks it from the other.  The Haar
+loop is the one-sample-at-a-time sweep the batched
 :func:`axiclone.choi.max_sampled_fidelity` must reproduce exactly: row k of
 one ``default_rng(seed)`` stream, one Gram-Schmidt step, diag(R) > 0, per
 environment, written out on 1-D arrays; its sample 0 is
@@ -499,49 +498,29 @@ def lapack_fidelities(r: np.ndarray, z: np.ndarray, env: int) -> np.ndarray:
     return np.real(np.einsum("nei,ij,nej->n", v.conj(), r, v))
 
 
-# A_i = e_i (x) 1_4: Tr(A_i chi) are the three entries of Tr_clones chi.
-_CLONE_TRACE = np.stack([np.kron(e, np.eye(4)) for e in (
-    np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0]))])
-
-
-def primal_sdp_max(r: np.ndarray) -> tuple[float, np.ndarray]:
+def extremal_iteration(r: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximise Tr(chi R) over every real CPTP Choi matrix chi; (F, chi).
 
-    Follows the central path of t Tr(chi R) + log det chi subject to
-    Tr_clones chi = 1 (Boyd & Vandenberghe, Convex Optimization, 10.2 and
-    11.3) for t = 8, 64, ... until the duality gap 8/t is below 1e-11.
-    chi is held as a factor, chi = L L^T, so that its vanishing
-    eigenvalues keep their relative precision.  The Newton step in those
-    coordinates is S, the part of t L^T R L + 1 orthogonal to the
-    L^T A_i L; it is projected twice more because t R and the multipliers
-    cancel at large t.  The damped step 1 + S / (1 + |S|_F) is positive
-    definite, and the congruence (Tr_clones chi)^(-1/2) (x) 1_4 restores
-    the constraint exactly.  R must be real symmetric.
+    Fiurasek's iteration (PRA 64, 062310 (2001)) from chi = 1/4:
+    chi <- K R chi R K with K = (Tr_clones R chi R)^(-1/2) (x) 1_4, so every
+    iterate is CPTP and a fixed point satisfies the extremal equation.  R is
+    shifted by 1e-8 so that Tr_clones R chi R stays invertible where R has
+    rank 3, at the poles; Tr chi = 2 for every CPTP chi, so the shift adds
+    the same constant to every Tr(chi R) and keeps the maximiser.  Stops
+    when no entry moves by more than 1e-15.  R must be real symmetric.
     """
     r = np.asarray(r, dtype=float)
-    eye = np.eye(8)
-    l = eye / 2
-    t = 8.0
-    while True:
-        for _ in range(50):
-            b = l.T @ _CLONE_TRACE @ l
-            gram = np.einsum("iab,jab->ij", b, b)
-            s = t * (l.T @ r @ l) + eye
-            for _ in range(3):
-                mu = np.linalg.solve(gram, np.einsum("iab,ab->i", b, s))
-                s -= np.einsum("i,iab->ab", mu, b)
-            dec = float(np.sum(s * s))
-            if dec < 1e-10:
-                break
-            l = l @ np.linalg.cholesky(eye + s / (1 + math.sqrt(dec)))
-            w, v = np.linalg.eigh(partial_trace(l @ l.T, {1}))
-            l = np.kron((v / np.sqrt(w)) @ v.T, np.eye(4)) @ l
-        else:
-            raise ArithmeticError(f"Newton centring stalled at t = {t:.3g}")
-        if 8 / t < 1e-11:
-            chi = l @ l.T
+    shifted = r + 1e-8 * np.eye(8)
+    chi = np.eye(8) / 4
+    for _ in range(10_000):
+        x = shifted @ chi @ shifted
+        w, v = np.linalg.eigh(partial_trace(x, {1}))
+        k = np.kron((v / np.sqrt(w)) @ v.T, np.eye(4))
+        prev, chi = chi, k @ x @ k
+        chi = (chi + chi.T) / 2
+        if np.abs(chi - prev).max() <= 1e-15:
             return float(np.sum(chi * r)), chi
-        t *= 8
+    raise ArithmeticError("no fixed point after 10000 steps")
 
 
 def vmf_kappa_threshold() -> float:

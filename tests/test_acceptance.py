@@ -141,8 +141,8 @@ def test_criterion_06_polarization_sweep_shape():
         assert f <= f_limit + 1e-12
 
 
-@criterion(7, "the SDP dual bound and an independent primal SDP solve over "
-              "all CPTP maps close on the analytic optimum")
+@criterion(7, "the SDP dual bound and an independent primal extremal "
+              "iteration over all CPTP maps close on the analytic optimum")
 def test_criterion_07_optimality_certification():
     references = [
         Uniform(),

@@ -178,6 +178,13 @@ class TestChoiFidelityErrors:
         with pytest.raises(NonHermitianError):
             choi_fidelity(bad, r)
 
+    def test_rejects_imaginary_trace_within_hermitian_tolerance(self):
+        # |chi - chi^dag| = 8e-11 passes the Hermitian check, but
+        # Im Tr(chi R) = 4e-11 Tr R = 8e-11 is above 1e-12
+        chi = np.eye(8) / 4 + 4e-11j * np.eye(8)
+        with pytest.raises(NonHermitianError, match="imaginary part"):
+            choi_fidelity(chi, build_merit(Uniform()))
+
 
 @pytest.mark.parametrize("call", [
     lambda r: max_sampled_fidelity(r, 10),
@@ -291,6 +298,10 @@ class TestMaxSampledFidelity:
         with pytest.raises(DomainError):
             max_sampled_fidelity(r, 10, env_dims=env_dims)
 
+    def test_rejects_no_samples(self):
+        with pytest.raises(DomainError, match="at least one sample"):
+            max_sampled_fidelity(build_merit(Uniform()), 0)
+
     def test_per_sample_values_match_choi_fidelity(self):
         r = build_merit(VonMisesFisher(kappa=-2.0))
         for k in range(20):
@@ -354,6 +365,8 @@ class TestSymmetryBlocks:
 
 
 class TestConstrainedMaximize:
+    """The extremal iteration over every CPTP map reaches the closed form."""
+
     def test_uniform_reaches_uc_optimum(self):
         f, chi = assert_primal_optimum(Uniform())
         assert f == pytest.approx(5 / 6, abs=1e-10)
@@ -373,6 +386,8 @@ class TestConstrainedMaximize:
         (Delta(theta=0.0), False),
         (Delta(theta=math.pi / 2), False),
         (DeltaPair(theta=math.pi / 2), False),
+        (DeltaPair(theta=0.0029), False),
+        (Delta(theta=math.pi), False),
     ])
     def test_reaches_optimum_in_every_regime(self, dist, pinned):
         assert_primal_optimum(dist, pinned)

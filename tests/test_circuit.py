@@ -96,6 +96,8 @@ class TestGateMatrices:
             Gate("CNOT", 1)
         with pytest.raises(DomainError):
             Gate("Hadamard", 1)
+        with pytest.raises(DomainError, match="takes no control"):
+            Gate("X", 1, control=2)
 
 
 class TestBuildCircuit:

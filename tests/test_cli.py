@@ -129,6 +129,18 @@ class TestParseDist:
         with pytest.raises(ParseError):
             parse_dist("brosseau:P=1.0,mu=0.0")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("", "empty distribution spec (at position 0)"),
+        ("table:", "table needs a file path (at position 6)"),
+        ("vmf:kappa", "expected key=value, got 'kappa' (at position 4)"),
+        ("vmf:kappa=1,kappa=2", "duplicate key 'kappa' (at position 12)"),
+        ("vmf:", "trailing colon without parameters (at position 3)"),
+    ])
+    def test_malformed_spec_names_the_fault(self, spec, message):
+        with pytest.raises(ParseError) as err:
+            parse_dist(spec)
+        assert str(err.value) == message
+
 
 @pytest.mark.parametrize("argv", [
     ("simulate", "--dist", "uniform", "--theta", "nan"),
@@ -473,6 +485,18 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
                              "--sweep", "kappa=0:3")
         assert code == 1
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("kappa", "sweep must look like key=start:stop:n, got 'kappa'"),
+        ("kappa=0:1:x", "bad sweep grid '0:1:x'"),
+        ("kappa=0:1:1", "sweep needs at least 2 points"),
+        ("kappa=1:1:3", "sweep start and stop must differ"),
+        (",=0:1:3", "sweep needs a parameter name"),
+    ])
+    def test_malformed_sweep_names_the_fault(self, capsys, sweep, message):
+        code, out, err = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",
+                                 "--sweep", sweep)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_grid_too_large_to_allocate(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--dist", "vmf:kappa=0",

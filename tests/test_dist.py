@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import axiclone.dist as dist_mod
-from axiclone.dist import (Belt, Brosseau, Delta, DeltaPair, HenyeyGreenstein,
-                           Tabulated, Uniform, VonMisesFisher, load_tabulated,
-                           moments, validate_moments)
-from axiclone.errors import DomainError, UnsupportedKindError
+from axiclone.dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
+                           HenyeyGreenstein, MomentPair, Tabulated, Uniform,
+                           VonMisesFisher, load_tabulated, moments,
+                           spec_string, validate_moments)
+from axiclone.errors import (DomainError, InfeasibleMomentsError,
+                             UnsupportedKindError)
 
 from conftest import random_distribution
 from oracles import (QuadratureError, marginal_density, normalization_integral,
@@ -327,6 +329,17 @@ class TestValidateMoments:
     def test_nan_rejected(self):
         assert validate_moments((math.nan, 0.0)) is False
 
+    def test_moments_rejects_an_infeasible_kind(self):
+        class Corrupt(AxisDistribution):
+            __slots__ = ()
+            kind = "corrupt"
+
+            def moment_pair(self):
+                return MomentPair(0.9, -0.5)
+
+        with pytest.raises(InfeasibleMomentsError, match="second-moment bound"):
+            moments(Corrupt())
+
 
 class TestParameterValidation:
     def test_brosseau_rejects_full_polarization(self):
@@ -409,12 +422,31 @@ class TestTabulated:
         with pytest.raises(DomainError):
             Tabulated(xs=(-1.0, 1.0), gs=(1.0, -0.5))
 
+    @pytest.mark.parametrize("xs, gs, match", [
+        ((0.0,), (1.0,), ">= 2 matched samples"),
+        ((-1.0, 1.5), (1.0, 1.0), r"must lie in \[-1, 1\]"),
+        ((-1.0, 1.0), (0.0, 0.0), "integrates to zero"),
+    ])
+    def test_rejects_malformed_samples(self, xs, gs, match):
+        with pytest.raises(DomainError, match=match):
+            Tabulated(xs=xs, gs=gs)
+
+    def test_sourceless_table_has_no_spec(self):
+        with pytest.raises(UnsupportedKindError, match="no source path"):
+            spec_string(Tabulated(xs=(-1.0, 1.0), gs=(0.5, 0.5)))
+
     def test_csv_loader_with_header(self, tmp_path):
         path = tmp_path / "density.csv"
         path.write_text("cos_theta,g\n-1.0,0.5\n0.0,0.5\n1.0,0.5\n")
         t = load_tabulated(str(path))
         assert t.xs == (-1.0, 0.0, 1.0)
         assert moments(t).a1 == pytest.approx(0.0, abs=1e-14)
+
+    def test_csv_loader_rejects_non_numeric_row_after_the_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("-1.0,0.5\nhalf,0.5\n1.0,0.5\n")
+        with pytest.raises(DomainError, match=":2: non-numeric row"):
+            load_tabulated(str(path))
 
     def test_csv_loader_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,11 +12,11 @@ from axiclone.errors import InfeasibleMomentsError
 from axiclone.optimal import (Regime, UC_ALPHA, average_fidelity,
                               numeric_optimum, optimal_angles, pcc_params,
                               single_copy_fidelity, uc_params)
-from axiclone import cli, dist, optimal
+from axiclone import choi, cli, dist, optimal
 from conftest import (angle_params, random_distribution,
                       random_feasible_moments)
-from oracles import (branch_search_angles, density, integrate_marginal,
-                     vmf_kappa_threshold)
+from oracles import (branch_search_angles, density, extremal_iteration,
+                     integrate_marginal, vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -94,6 +94,27 @@ class TestOptimalAngles:
         p = optimal_angles(m)
         assert _fields(p) == _fields(_pole_cloner(m))
         assert average_fidelity(m, p) == pytest.approx(1.0, abs=1e-9)
+
+    # Feasible pairs just outside the pole tolerance: rounding puts alpha+
+    # at -9.9e-9 in the first, and x+ x- at -2.7e-8 in the second.  On the
+    # second the extremal iteration has F within 1.2e-14 of F_opt but chi
+    # still moving by 1e-7 per step when its 10,000 steps run out.
+    @pytest.mark.parametrize("m, primal", [
+        (MomentPair(0.9999999928396506, 0.9999999940671952), True),
+        (MomentPair(0.9999999993869986, 0.9999999968178704), False),
+    ])
+    def test_just_outside_the_pole_tolerance_is_optimal(self, m, primal):
+        p = optimal_angles(m)
+        f = average_fidelity(m, p)
+        assert abs(f - numeric_optimum(m)[2]) <= 1e-12
+        r = choi._merit(*m)
+        tr_y, lam = choi.dual_certificate(r, p)
+        assert abs(tr_y - f) <= 1e-9
+        assert lam >= -1e-9
+        if primal:
+            f_primal, _ = extremal_iteration(r)
+            assert f_primal <= f + 1e-12
+            assert abs(f_primal - f) <= 1e-10
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_pole_neighbourhood_grid(self, sign):
@@ -245,6 +266,10 @@ class TestNumericOptimum:
         _, _, f = numeric_optimum(m)
         assert f == pytest.approx(average_fidelity(m, optimal_angles(m)), abs=1e-8)
 
+    def test_rejects_infeasible_moments(self):
+        with pytest.raises(InfeasibleMomentsError):
+            numeric_optimum(MomentPair(0.9, -0.5))
+
     def test_oracle_equivalence_on_random_moments(self, rng):
         for _ in range(200):
             m = random_feasible_moments(rng)
@@ -326,6 +351,12 @@ _BRANCH_MOMENTS = st.one_of(
                                    1 / 3, -1 / 3]),
                   st.floats(-1e-6, 1e-6), st.floats(-1.0, 1.0)),
         st.floats(0.0, 1.0)),
+    # 1e-10 to 1e-7 from a pole, where rounding can fail the interior
+    # formulas on a feasible pair
+    st.builds(lambda sign, k1, k2: MomentPair(sign * (1 - 10 ** k1),
+                                              1 - 10 ** k2),
+              st.sampled_from([1.0, -1.0]), st.floats(-10.0, -7.0),
+              st.floats(-10.0, -7.0)),
 )
 
 
@@ -369,20 +400,25 @@ def _sweep_pcc_column(m: MomentPair) -> float:
 
 
 class TestBranchChoice:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=450, deadline=None)
     @given(m=_BRANCH_MOMENTS,
            b=st.floats(0.0, math.pi / 2), d=st.floats(-math.pi / 2, math.pi / 2))
     def test_closed_form_choice_equals_branch_search(self, m, b, d):
         got = _outcome(optimal_angles, m)
         want = _outcome(branch_search_angles, m)
-        # where no candidate is in range the search stops at its assert,
-        # and the closed form raises instead; within the feasibility
-        # tolerance of a pole, where the search fails, it returns that
-        # pole's cloner
-        if want in (AssertionError, InfeasibleMomentsError) and _near_pole(m):
-            want = _fields(_pole_cloner(m))
-        assert got == (InfeasibleMomentsError if want is AssertionError
-                       else want)
+        # where no candidate is in range the search stops at its assert or
+        # raises; the closed form returns the pole's cloner within the
+        # feasibility tolerance of a pole, and further out a cloner that
+        # reaches the grid optimum
+        failed = want in (AssertionError, InfeasibleMomentsError)
+        if failed and validate_moments(m):
+            if _near_pole(m):
+                want = _fields(_pole_cloner(m))
+            else:
+                f = average_fidelity(m, optimal_angles(m))
+                assert abs(f - numeric_optimum(m)[2]) <= 1e-12
+                want = got
+        assert got == want
 
         a1, a2 = m
         m2 = (2 * a2 + 1) / 3
