@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -113,6 +114,21 @@ def _fmt(value) -> str:
             return "0"  # avoid the "-0" rendering of negative zero
         return format(value, ".17g")
     return str(value)
+
+
+_CSV_ROW = ",".join(["%.17g"] * 9)
+
+
+def _csv_row(row) -> str:
+    """One sweep CSV line of nine floats, as ``_fmt`` renders each of them.
+
+    Adding 0.0 turns -0.0 into the 0.0 that ``_fmt`` prints as "0"; a row
+    with a NaN or an infinity (whose %g text holds an "n") takes ``_fmt``.
+    """
+    line = _CSV_ROW % tuple([v + 0.0 for v in row])
+    if "n" in line:
+        return ",".join(_fmt(v).replace("NaN", "nan") for v in row)
+    return line
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -257,6 +273,7 @@ def cmd_sweep(args) -> int:
     columns = ["param", "a1", "a2", "Gamma", "alpha_plus", "alpha_minus",
                "F_opt", "F_UC", "F_PCC_branch"]
     lines = [",".join(columns)]
+    uc, pcc_upper, pcc_lower = uc_params(), pcc_params(True), pcc_params(False)
     for value in grid:
         row: list[float] = [float(value)]
         try:
@@ -264,13 +281,13 @@ def cmd_sweep(args) -> int:
             m = dist_mod.moments(d)
             p = optimal_angles(m)
             row += [m.a1, m.a2, p.gamma, p.alpha_plus, p.alpha_minus,
-                    average_fidelity(m, p), average_fidelity(m, uc_params()),
-                    average_fidelity(m, pcc_params(m.a1 >= 0))]
+                    average_fidelity(m, p), average_fidelity(m, uc),
+                    average_fidelity(m, pcc_upper if m.a1 >= 0 else pcc_lower)]
         except CloneError as exc:
             sys.stderr.write(
                 f"warning: {','.join(keys)}={_fmt(float(value))}: {exc}\n")
             row += [math.nan] * 8
-        lines.append(",".join(_fmt(v).replace("NaN", "nan") for v in row))
+        lines.append(_csv_row(row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -335,7 +352,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process; each parse makes a fresh Namespace."""
     parser = _Parser(prog="axiclone", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

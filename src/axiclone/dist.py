@@ -163,7 +163,7 @@ class Brosseau(AxisDistribution):
     """Single-Stokes-parameter statistics of a Gaussian stochastic field.
 
     ``P`` is the degree of polarization, ``mu`` the mean normalised Stokes
-    parameter; P^2 - mu^2 >= 0.  Marginal
+    parameter; |mu| <= P.  Marginal
 
         (1 - P^2) (1 - mu x) / (2 (1 + mu^2 - P^2 - 2 mu x + P^2 x^2)^(3/2)).
   P -> 1 concentrates onto delta(x - mu), so
@@ -177,8 +177,8 @@ class Brosseau(AxisDistribution):
         if not 0.0 <= P < 1.0:
             raise DomainError(
                 f"P must lie in [0, 1) for a density (P=1 is a Delta), got {P}")
-        if mu ** 2 > P ** 2:
-            raise DomainError(f"require mu^2 <= P^2, got P={P}, mu={mu}")
+        if abs(mu) > P:
+            raise DomainError(f"require |mu| <= P, got P={P}, mu={mu}")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "mu", mu)
 

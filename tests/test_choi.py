@@ -364,7 +364,7 @@ class TestSymmetryBlocks:
         assert blocks.scalars[1] == pytest.approx(0.25, abs=1e-10)
 
 
-class TestConstrainedMaximize:
+class TestExtremalIteration:
     """The extremal iteration over every CPTP map reaches the closed form."""
 
     def test_uniform_reaches_uc_optimum(self):

@@ -296,6 +296,17 @@ class TestParamsCommand:
         assert code == 0 and err == ""
         assert 0.0 < json.loads(out)["a1"] <= 1e-300
 
+    @pytest.mark.parametrize("spec, shown", [
+        # mu ** 2 would overflow; both squares would underflow to zero
+        ("brosseau:P=0.5,mu=1e200", "P=0.5, mu=1e+200"),
+        ("brosseau:P=1e-200,mu=2e-200", "P=1e-200, mu=2e-200"),
+    ])
+    def test_mu_beyond_P_is_a_parse_error(self, capsys, spec, shown):
+        code, out, err = run_cli(capsys, "params", "--dist", spec)
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid parameters for brosseau: "
+                       f"require |mu| <= P, got {shown}\n")
+
     @pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError,
                                      FloatingPointError])
     def test_arithmetic_error_is_numeric_exit(self, capsys, monkeypatch, exc):
@@ -472,6 +483,48 @@ class TestSweepCommand:
         warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
         assert len(nan_rows) == 1
         assert len(warnings) == 1
+
+    def test_mu_beyond_P_at_any_magnitude_is_a_nan_row(self, capsys):
+        # mu ** 2 would overflow at the first two points; the grid still runs
+        code, out, err = run_cli(capsys, "sweep", "--dist", "brosseau:P=0.5,mu=0",
+                                 "--sweep", "mu=-1e300:0.25:3")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        nan_row = ",".join(["nan"] * 8)
+        assert [row.split(",", 1)[1] for row in rows[:2]] == [nan_row, nan_row]
+        assert "nan" not in rows[2]
+        assert err.splitlines() == [
+            "warning: mu=-1.0000000000000001e+300: require |mu| <= P, "
+            "got P=0.5, mu=-1e+300",
+            "warning: mu=-5.0000000000000003e+299: require |mu| <= P, "
+            "got P=0.5, mu=-5e+299"]
+
+    @pytest.mark.parametrize("dist, sweep, index, row", [
+        # Gamma = +inf where x+ x- = 0
+        ("hg:h=0", "h=0.25:0.75:3", 1,
+         "0.5,0.5,0.25,Infinity,0,1.5707963267948966,0.92677669529663687,"
+         "0.83333333333333326,0.92677669529663687"),
+        # a -0.0 start prints as 0
+        ("vmf:kappa=0", "kappa=-0.0:-5:7", 0,
+         "0,0,0,0,0.61547970867038748,0.61547970867038748,0.83333333333333326,"
+         "0.83333333333333326,0.81903559372884915"),
+    ])
+    def test_special_rows_are_pinned(self, capsys, dist, sweep, index, row):
+        code, out, err = run_cli(capsys, "sweep", "--dist", dist, "--sweep", sweep)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1 + index] == row
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                         -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                         1.7976931348623157e308]),
+        st.floats(), st.floats(allow_subnormal=True, max_value=1e-300,
+                               min_value=-1e-300)),
+        min_size=9, max_size=9))
+    def test_csv_row_renders_as_fmt(self, row):
+        expected = ",".join(cli._fmt(v).replace("NaN", "nan") for v in row)
+        assert cli._csv_row(row) == expected
 
     def test_table_has_no_sweep_keys(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
@@ -729,6 +782,36 @@ def test_closed_stdout_is_one_error_line(argv, unbuffered):
     assert result.returncode == 1
     assert result.stderr.decode() == (
         "error: stdout was closed before the output was written\n")
+
+
+def test_reused_parser_keeps_calls_independent(capsys, tmp_path):
+    # main builds its parser once per process; no parse, failed or not,
+    # may leave anything in it that changes a later call
+    out = tmp_path / "sweep.csv"
+    calls = [
+        ["params", "--dist", "vmf:kappa=1.5"],
+        ["sweep", "--dist", "hg:h=0", "--sweep", "h=0.25:0.75:3",
+         "--out", str(out)],
+        ["simulate", "--dist", "uniform", "--theta", "0.7", "--phi", "x"],
+        ["verify", "--dist", "uniform", "--samples", "50"],
+        ["params", "--dist", "vmf:kappa=1.5"],
+    ]
+
+    def run(argv):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        return code, stdout, stderr, out.read_text() if "--out" in argv else None
+
+    cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert reused[0] == reused[4]
+    assert [r[0] for r in reused] == [0, 0, 1, 0, 0]
+    assert reused[2][2] == "error: argument --phi: bad number 'x'\n"
 
 
 def _readme_commands() -> list[str]:

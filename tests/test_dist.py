@@ -350,6 +350,20 @@ class TestParameterValidation:
         with pytest.raises(DomainError):
             Brosseau(P=0.4, mu=0.5)
 
+    @pytest.mark.parametrize("P, mu, ok", [
+        (0.5, 1e200, False),  # mu ** 2 would overflow
+        (0.5, -1e300, False),
+        (1e-200, 2e-200, False),  # both squares would underflow to zero
+        (1e-200, -1e-200, True),
+        (5e-324, 5e-324, True),
+    ])
+    def test_brosseau_mu_range_at_any_magnitude(self, P, mu, ok):
+        if ok:
+            assert Brosseau(P=P, mu=mu).mu == mu
+        else:
+            with pytest.raises(DomainError, match=r"require \|mu\| <= P"):
+                Brosseau(P=P, mu=mu)
+
     def test_hg_range(self):
         with pytest.raises(DomainError):
             HenyeyGreenstein(h=1.0)
