@@ -11,13 +11,15 @@ the cloning isometry exactly rather than up to that relabelling.
 When a+ = a- the controlled rotation is the identity and the remaining
 gates form the fixed mirror-symmetric cloning circuit.
 
-The circuit's 8x8 unitary is built gate by gate on a (2, 2, 2, 8) view of
-the running product: each gate mixes the two slices at its target bit 0
-and 1, taken where its control bit is set, with no Kronecker product.
+The circuit's 8x8 unitary is built gate by gate with no Kronecker product:
+each gate gathers the row pairs of the running product that differ only in
+its target bit, taken where its control bit is set, mixes each pair by its
+real 2x2 in one matrix product, and writes them back.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._value import Value
@@ -36,8 +38,8 @@ def _ry(theta: float):
     return (c, -s), (s, c)
 
 
-# kind -> (takes a control qubit, takes an angle, its 2x2 on the target as
-# a function of the angle)
+# kind -> (takes a control qubit, takes an angle, its real 2x2 on the
+# target as a function of the angle)
 _KINDS = {
     "Ry": (False, True, _ry),
     "CRy": (True, True, _ry),
@@ -68,6 +70,8 @@ class Gate(Value):
             raise DomainError(f"{kind} takes no control qubit")
         if needs_param and param is None:
             raise DomainError(f"{kind} requires an angle")
+        if param is not None and not math.isfinite(param):
+            raise DomainError(f"{kind} angle must be finite, got {param}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "control", control)
@@ -97,30 +101,41 @@ def build_circuit(p: ClonerParams) -> tuple[Gate, ...]:
     )
 
 
-# The 8x8 matrix view below is the only numpy user in this module; it imports
-# numpy on first call, so building and printing a circuit never loads it.
+# The 8x8 matrix product below is the only numpy user in this module; it
+# imports numpy on first call, so building and printing a circuit never
+# loads it.
+
+@functools.cache
+def _row_pairs(target: int, control: int | None):
+    """(lo, hi) row index pairs a gate at this placement mixes, as a (k, 2) array.
+
+    hi is lo with the target bit set, and both have the control bit set;
+    qubit q is bit 1 << (3 - q) of the row index.  There are nine
+    placements, so this is a constant table built on first use.
+    """
+    import numpy as np
+
+    bit = 1 << (3 - target)
+    on = 0 if control is None else 1 << (3 - control)
+    rows = np.array([(r, r | bit) for r in range(8)
+                     if not r & bit and r & on == on])
+    rows.flags.writeable = False
+    return rows
+
 
 def circuit_unitary(gates: tuple[Gate, ...]):
     """Complex 8x8 numpy product of the gate unitaries, first gate rightmost.
 
-    The running product is viewed as a (2, 2, 2, 8) tensor whose first three
-    axes are the row bits of qubits 1, 2, 3 (qubit q is bit 1 << (3 - q)).
-    A gate mixes the two slices of that tensor at target bit 0 and 1, taken
-    where its control bit is set; both are views, so no row is copied.
+    Every gate's 2x2 is real, so the product runs in float64 (a complex 2x2
+    raises TypeError rather than losing its imaginary part): a gate takes
+    its (lo, hi) row pairs as a (k, 2, 8) stack, multiplies each pair by its
+    2x2 in one matmul, and writes them back.  The result is complex.
     """
     import numpy as np
 
-    u = np.eye(8, dtype=complex)
-    v = u.reshape(2, 2, 2, 8)
+    u = np.eye(8)
     for g in gates:
-        (m00, m01), (m10, m11) = _KINDS[g.kind][2](g.param)
-        axes = [slice(None)] * 3
-        if g.control is not None:
-            axes[g.control - 1] = 1
-        axes[g.target - 1] = 0
-        lo = tuple(axes)
-        axes[g.target - 1] = 1
-        hi = tuple(axes)
-        u0, u1 = v[lo], v[hi]
-        v[lo], v[hi] = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
-    return u
+        rows = _row_pairs(g.target, g.control)
+        m = np.array(_KINDS[g.kind][2](g.param), dtype=float)
+        u[rows] = m @ u[rows]
+    return u.astype(complex)

@@ -105,12 +105,15 @@ class VonMisesFisher(AxisDistribution):
 
     Marginal kappa * exp(kappa x) / (2 sinh kappa); kappa < 0 concentrates
     around the antipode and kappa -> 0 recovers the uniform ensemble.
+    kappa = +-inf is the point mass at that pole, (a1, a2) = (+-1, 1).
     """
 
     __slots__ = keys = ("kappa",)
     kind = "vmf"
 
     def __init__(self, kappa: float = 0.0):
+        if math.isnan(kappa):
+            raise DomainError("kappa must be a number, got nan")
         object.__setattr__(self, "kappa", kappa)
 
     def moment_pair(self) -> MomentPair:
@@ -177,7 +180,7 @@ class Brosseau(AxisDistribution):
         if not 0.0 <= P < 1.0:
             raise DomainError(
                 f"P must lie in [0, 1) for a density (P=1 is a Delta), got {P}")
-        if abs(mu) > P:
+        if not abs(mu) <= P:  # NaN fails this too
             raise DomainError(f"require |mu| <= P, got P={P}, mu={mu}")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "mu", mu)

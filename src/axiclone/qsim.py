@@ -27,6 +27,10 @@ __all__ = ["PureQubit", "clone_isometry", "apply_clone", "clone_fidelity_sim"]
 
 _SQRT2 = math.sqrt(2.0)
 
+# clone i -> the four rows with its bit clear, in ascending order, then the
+# same rows with its bit set; clone i is bit 1 << (3 - i) of the row index
+_CLONE_ROWS = {1: (0, 1, 2, 3, 4, 5, 6, 7), 2: (0, 1, 4, 5, 2, 3, 6, 7)}
+
 
 class PureQubit(Value):
     """Bloch angles (theta, phi) measured from the symmetry axis."""
@@ -34,6 +38,9 @@ class PureQubit(Value):
     __slots__ = keys = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float = 0.0):
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise DomainError(
+                f"Bloch angles must be finite, got theta={theta}, phi={phi}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -54,24 +61,33 @@ def clone_isometry(p: ClonerParams) -> list[list[float]]:
     return v
 
 
-def apply_clone(q: PureQubit, p: ClonerParams) -> list[complex]:
-    """Three-qubit output state for input q, as 8 complex amplitudes."""
-    a0, a1 = q.amplitudes()
+def _output(a0: complex, a1: complex, p: ClonerParams) -> list[complex]:
     # + 0j turns a -0.0 part into +0.0, as a matrix-vector product does
     return [v0 * a0 + v1 * a1 + 0j for v0, v1 in clone_isometry(p)]
+
+
+def apply_clone(q: PureQubit, p: ClonerParams) -> list[complex]:
+    """Three-qubit output state for input q, as 8 complex amplitudes."""
+    return _output(*q.amplitudes(), p)
 
 
 def clone_fidelity_sim(q: PureQubit, p: ClonerParams, i: int = 1) -> float:
     """Overlap of clone ``i`` with the input state, from the full 3-qubit state."""
     if i not in (1, 2):
         raise DomainError(f"clone index must be 1 or 2, got {i}")
-    out = apply_clone(q, p)
-    bit = 1 << (3 - i)  # clone i's bit in the basis index
-    rest = [r for r in range(8) if not r & bit]
-    rho = [[sum(out[r | j * bit] * out[r | k * bit].conjugate() for r in rest)
-            for k in (0, 1)] for j in (0, 1)]
-    a = q.amplitudes()
+    a0, a1 = q.amplitudes()
+    out = _output(a0, a1, p)
+    l0, l1, l2, l3, h0, h1, h2, h3 = [out[r] for r in _CLONE_ROWS[i]]
+    m0, m1, m2, m3, n0, n1, n2, n3 = [out[r].conjugate()
+                                      for r in _CLONE_ROWS[i]]
+    # rho_jk = sum over the other two qubits' rows r of
+    # out[r with clone bit j] * conj(out[r with clone bit k]), added from 0
+    # in ascending r as sum() would, so the result rounds exactly as the
+    # generic trace does, sign included
+    r00 = 0 + l0 * m0 + l1 * m1 + l2 * m2 + l3 * m3
+    r01 = 0 + l0 * n0 + l1 * n1 + l2 * n2 + l3 * n3
+    r10 = 0 + h0 * m0 + h1 * m1 + h2 * m2 + h3 * m3
+    r11 = 0 + h0 * n0 + h1 * n1 + h2 * n2 + h3 * n3
     # <a| rho |a>, with <a| rho contracted first
-    bra = [a[0].conjugate() * rho[0][k] + a[1].conjugate() * rho[1][k]
-           for k in (0, 1)]
-    return (bra[0] * a[0] + bra[1] * a[1]).real
+    b0, b1 = a0.conjugate(), a1.conjugate()
+    return ((b0 * r00 + b1 * r10) * a0 + (b0 * r01 + b1 * r11) * a1).real

@@ -25,13 +25,16 @@ cloner, where the package uses two identities instead.  The symmetry blocks
 split an 8x8 operator along the axis-rotation and clone-swap symmetry, the
 structure the dual certificate rests on.  The array simulation (isometry
 matrix, ``np.outer`` state and einsum partial trace) is the reference the
-scalar :mod:`axiclone.qsim` must reproduce.  The general partial trace and
+scalar :mod:`axiclone.qsim` must reproduce to rounding, and the generic
+scalar clone trace, a ``sum`` over the other qubits' rows, is the reference
+its written-out trace must equal bit for bit.  The general partial trace and
 the Choi matrix of any isometry are the path the certificate's fixed-shape
 clone trace and the cloner's Choi matrix must equal bit for bit.  The
 Kronecker embedding of each gate, with its 2x2 written out per kind, is the
-reference for the slice updates of :func:`axiclone.circuit.circuit_unitary`,
-and the merit operator summed from Kronecker products formed per call is the
-reference for the precomputed terms of :func:`axiclone.choi.build_merit`.
+reference for the row-pair products of
+:func:`axiclone.circuit.circuit_unitary`, and the merit operator summed
+from Kronecker products formed per call is the reference for the
+precomputed terms of :func:`axiclone.choi.build_merit`.
 """
 
 import heapq
@@ -49,6 +52,7 @@ from axiclone.errors import (DomainError, InfeasibleMomentsError,
 from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, ClonerParams,
                               Regime, _boundary, _omega, average_fidelity,
                               optimal_angles, pcc_params)
+from axiclone.qsim import apply_clone
 
 
 class QuadratureError(ArithmeticError):
@@ -685,3 +689,21 @@ def simulate_reference(theta: float, phi: float,
     fids = [float(np.real(amps.conj() @ partial_trace(rho, {i}) @ amps))
             for i in (1, 2)]
     return amps, out, fids
+
+
+def clone_fidelity_reference(q, p: ClonerParams, i: int) -> float:
+    """Clone ``i``'s overlap with the input, by the generic scalar trace.
+
+    rho_jk sums out[r | j bit] conj(out[r | k bit]) with ``sum`` over the
+    rows r with clone i's bit clear, in ascending order; then <a| rho is
+    contracted first.
+    """
+    out = apply_clone(q, p)
+    bit = 1 << (3 - i)  # clone i's bit in the basis index
+    rest = [r for r in range(8) if not r & bit]
+    rho = [[sum(out[r | j * bit] * out[r | k * bit].conjugate() for r in rest)
+            for k in (0, 1)] for j in (0, 1)]
+    a = q.amplitudes()
+    bra = [a[0].conjugate() * rho[0][k] + a[1].conjugate() * rho[1][k]
+           for k in (0, 1)]
+    return (bra[0] * a[0] + bra[1] * a[1]).real

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axiclone.circuit import Gate, build_circuit, circuit_unitary
+from axiclone.circuit import _KINDS, Gate, build_circuit, circuit_unitary
 from axiclone.dist import MomentPair
 from axiclone.errors import DomainError
 from axiclone.optimal import (optimal_angles, pcc_params, single_copy_fidelity,
@@ -74,8 +74,9 @@ class TestGateMatrices:
         for angle in rng.uniform(-4 * math.pi, 4 * math.pi, 5):
             param = float(angle) if kind in ("Ry", "CRy") else None
             g = Gate(kind, target, control=control, param=param)
-            assert np.abs(circuit_unitary((g,))
-                          - kron_gate_matrix(g)).max() <= 1e-15
+            u = circuit_unitary((g,))
+            assert u.dtype == complex
+            assert np.abs(u - kron_gate_matrix(g)).max() <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(gates(), min_size=1, max_size=10))
@@ -86,6 +87,27 @@ class TestGateMatrices:
                           - kron_gate_matrix(g)).max() <= 1e-15
         assert np.abs(circuit_unitary(circ)
                       - kron_circuit_unitary(circ)).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_every_kind_matrix_is_real(self, kind):
+        # circuit_unitary multiplies in float64, so a complex gate kind must
+        # fail here, by name, before it fails inside the product
+        for angle in (0.0, 0.3, -1.7, math.pi / 2, math.pi, 4 * math.pi):
+            m = np.array(_KINDS[kind][2](angle))
+            assert m.shape == (2, 2)
+            assert m.dtype == np.float64
+
+    def test_complex_kind_fails_in_the_product(self, monkeypatch):
+        monkeypatch.setitem(_KINDS, "Y", (False, False,
+                                          lambda _: ((0, -1j), (1j, 0))))
+        with pytest.raises(TypeError):
+            circuit_unitary((Gate("Y", 2),))
+
+    @pytest.mark.parametrize("kind, control", [("Ry", None), ("CRy", 1)])
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_a_domain_error(self, kind, control, param):
+        with pytest.raises(DomainError, match="must be finite"):
+            Gate(kind, 3, control=control, param=param)
 
     def test_gate_validation(self):
         with pytest.raises(DomainError):
@@ -128,7 +150,9 @@ class TestBuildCircuit:
 
 class TestCircuitUnitary:
     def test_empty_circuit_is_identity(self):
-        assert np.array_equal(circuit_unitary(()), np.eye(8))
+        u = circuit_unitary(())
+        assert u.dtype == complex
+        assert np.array_equal(u, np.eye(8))
 
     def test_unitary(self, rng):
         u = circuit_unitary(build_circuit(random_params(rng)))
@@ -164,8 +188,9 @@ class TestCircuitUnitary:
     def test_cloner_matches_kronecker_embedding(self, rng):
         for _ in range(200):
             circ = build_circuit(random_params(rng))
-            assert np.abs(circuit_unitary(circ)
-                          - kron_circuit_unitary(circ)).max() <= 1e-15
+            u = circuit_unitary(circ)
+            assert u.dtype == complex
+            assert np.abs(u - kron_circuit_unitary(circ)).max() <= 1e-15
 
     def test_mirror_reduction_drops_controlled_rotation(self, rng):
         for _ in range(10):

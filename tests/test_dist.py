@@ -13,7 +13,7 @@ from axiclone.dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
 from axiclone.errors import (DomainError, InfeasibleMomentsError,
                              UnsupportedKindError)
 
-from conftest import random_distribution
+from conftest import KIND_STRATEGIES, random_distribution
 from oracles import (QuadratureError, marginal_density, normalization_integral,
                      quadrature_moments)
 
@@ -367,6 +367,22 @@ class TestParameterValidation:
     def test_hg_range(self):
         with pytest.raises(DomainError):
             HenyeyGreenstein(h=1.0)
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, cls in sorted(dist_mod.KINDS.items())
+        for key in cls.keys])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_nan_parameter_is_a_domain_error(self, kind, key, data):
+        # NaN fails every ordered comparison, so a range check written as
+        # "reject if out of range" lets it through
+        d = data.draw(KIND_STRATEGIES[kind])
+        with pytest.raises(DomainError):
+            d.with_(**{key: math.nan})
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_vmf_infinite_kappa_is_the_pole_limit(self, sign):
+        assert moments(VonMisesFisher(kappa=sign * math.inf)) == (sign, 1.0)
 
     def test_belt_ordering(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from axiclone.optimal import (optimal_angles, pcc_params, single_copy_fidelity,
 from axiclone.qsim import (PureQubit, apply_clone, clone_fidelity_sim,
                            clone_isometry)
 from conftest import angle_params, random_params
-from oracles import partial_trace, simulate_reference
+from oracles import clone_fidelity_reference, partial_trace, simulate_reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,6 +81,13 @@ class TestPureQubit:
             q = PureQubit(float(rng.uniform(0, math.pi)),
                           float(rng.uniform(0, 2 * math.pi)))
             assert np.linalg.norm(q.amplitudes()) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("theta, phi", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+        (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+    def test_non_finite_angle_is_a_domain_error(self, theta, phi):
+        with pytest.raises(DomainError, match="must be finite"):
+            PureQubit(theta, phi)
 
     def test_round_trip_through_amplitudes(self, rng):
         for _ in range(20):
@@ -214,6 +221,20 @@ class TestScalarSimulationMatchesArrayReference:
             f = clone_fidelity_sim(q, p, i)
             assert abs(f - f_ref) <= 1e-15
             assert abs(f - closed) <= 1e-15
+
+
+class TestWrittenOutCloneTrace:
+    @settings(max_examples=1000, deadline=None)
+    @given(theta=st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
+                           st.floats(0.0, math.pi)),
+           phi=st.floats(-4 * math.pi, 4 * math.pi),
+           p=_CLONERS, i=st.sampled_from([1, 2]))
+    def test_equals_generic_trace_bit_for_bit(self, theta, phi, p, i):
+        q = PureQubit(theta, phi)
+        f = clone_fidelity_sim(q, p, i)
+        ref = clone_fidelity_reference(q, p, i)
+        assert f == ref
+        assert math.copysign(1.0, f) == math.copysign(1.0, ref)
 
 
 class TestCloneFidelity:
