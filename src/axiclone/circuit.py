@@ -70,6 +70,8 @@ class Gate(Value):
             raise DomainError(f"{kind} takes no control qubit")
         if needs_param and param is None:
             raise DomainError(f"{kind} requires an angle")
+        if not needs_param and param is not None:
+            raise DomainError(f"{kind} takes no angle")
         if param is not None and not math.isfinite(param):
             raise DomainError(f"{kind} angle must be finite, got {param}")
         object.__setattr__(self, "kind", kind)

@@ -198,15 +198,16 @@ def optimal_angles(m) -> ClonerParams:
 
 
 def numeric_optimum(m):
-    """Brute-force maximiser of the average fidelity; oracle for the closed form.
+    """Brute-force maximiser of the average fidelity, as (alpha_plus, alpha_minus, F).
 
-    The benchmark's ``certify`` workload and the tests check ``F_opt``
-    against it, so it stays in the package; it imports numpy on first call,
-    which keeps numpy off the scalar path of ``params``, ``sweep`` and
-    ``circuit``.  Scans a 400 x 400 mesh over [0, pi/2]^2 in one vectorised
-    evaluation, then refines coordinatewise by shrinking bracketed sweeps
-    until the step falls below 1e-12.
-    Returns (alpha_plus, alpha_minus, fidelity).
+    The oracle for the closed form in the tests and in the benchmark's
+    ``certify`` check; numpy loads on first call, off the scalar commands'
+    path.  A 400 x 400 mesh over [0, pi/2]^2, then 33 x 33 meshes over +-8
+    steps around the best point, clipped to the square, halving the step
+    until it is below 1e-12.  Where an interior optimum nearly ties with a
+    boundary cloner, it returns the cloner: 2.3e-8 short at
+    (0.931500981790047, 0.9394839264014601), where Gamma = -0.998, and
+    6.4e-7 short at (8.65762827069415e-09, -0.49596959857460227).
     """
     import numpy as np
 
@@ -214,33 +215,14 @@ def numeric_optimum(m):
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
 
-    def fidelity(ap, am):
-        return _fidelity(m, ap, am, np.cos, np.sin)
-
-    axis = np.linspace(0.0, math.pi / 2, 400)
-    ap_mesh, am_mesh = np.meshgrid(axis, axis, indexing="ij")
-    f_mesh = fidelity(ap_mesh, am_mesh)
-    i, j = np.unravel_index(np.argmax(f_mesh), f_mesh.shape)
-    ap, am = float(axis[i]), float(axis[j])
-    f_best = float(f_mesh[i, j])
-
-    h = float(axis[1] - axis[0])
-    while h > 1e-12:
-        # sweep both coordinates to stationarity at this scale, then shrink;
-        # re-sweeping lets the point walk along diagonal valleys
-        for _ in range(64):
-            moved = False
-            sweep = np.linspace(max(0.0, ap - h), min(math.pi / 2, ap + h), 33)
-            vals = fidelity(sweep, am)
-            k = int(np.argmax(vals))
-            if vals[k] > f_best + 1e-16:
-                ap, f_best, moved = float(sweep[k]), float(vals[k]), True
-            sweep = np.linspace(max(0.0, am - h), min(math.pi / 2, am + h), 33)
-            vals = fidelity(ap, sweep)
-            k = int(np.argmax(vals))
-            if vals[k] > f_best + 1e-16:
-                am, f_best, moved = float(sweep[k]), float(vals[k]), True
-            if not moved:
-                break
-        h *= 0.25
-    return ap, am, f_best
+    ap = am = np.linspace(0.0, math.pi / 2, 400)
+    h = math.pi / 2 / 399
+    while True:
+        f = _fidelity(m, ap[:, None], am[None, :], np.cos, np.sin)
+        i, j = np.unravel_index(np.argmax(f), f.shape)
+        best = float(ap[i]), float(am[j]), float(f[i, j])
+        if h < 1e-12:
+            return best
+        ap, am = (np.linspace(max(0.0, c - 8 * h), min(math.pi / 2, c + 8 * h), 33)
+                  for c in best[:2])
+        h /= 2

@@ -121,6 +121,11 @@ class TestGateMatrices:
         with pytest.raises(DomainError, match="takes no control"):
             Gate("X", 1, control=2)
 
+    @pytest.mark.parametrize("kind, control", [("CNOT", 1), ("CH", 1), ("X", None)])
+    def test_angle_on_a_kind_without_one_is_a_domain_error(self, kind, control):
+        with pytest.raises(DomainError, match="takes no angle"):
+            Gate(kind, 3, control=control, param=0.3)
+
 
 class TestBuildCircuit:
     def test_gate_sequence_and_angles(self):

@@ -252,6 +252,26 @@ class TestAverageFidelity:
             assert 0.5 - 1e-12 <= f <= 1 + 1e-12
 
 
+def _on_line(where: str, a1: float, t: float) -> MomentPair:
+    """A moment pair at a1 on one of the lines where the branch choice turns."""
+    low = (3 * a1 * a1 - 1) / 2  # variance bound
+    line = (3 * abs(a1) - 1) / 2  # x+ x- = 0: 1 + 2 a2 = 3 |a1|
+    return MomentPair(a1, {
+        "region": low + t * (1.0 - low), "variance": low, "top": 1.0,
+        "line": line, "line+": line + 1e-12, "line-": line - 1e-12,
+    }[where])
+
+
+_FEASIBLE_MOMENTS = st.builds(
+    _on_line,
+    st.sampled_from(["region", "variance", "top"]),
+    st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0),
+              # 1e-12 to 1e-3 from a pole
+              st.builds(lambda sign, k: sign * (1 - 10 ** k),
+                        st.sampled_from([1.0, -1.0]), st.floats(-12.0, -3.0))),
+    st.floats(0.0, 1.0))
+
+
 class TestNumericOptimum:
     def test_uniform(self):
         _, _, f = numeric_optimum(MomentPair(0.0, 0.0))
@@ -289,6 +309,27 @@ class TestNumericOptimum:
         assert 0.0 <= p.alpha_plus <= math.pi / 2
         assert 0.0 <= p.alpha_minus <= math.pi / 2
         assert average_fidelity(m, p) >= numeric_optimum(m)[2] - 1e-12
+
+    # interior pairs where a coordinatewise refinement stalls 1.3-2.1e-9
+    # short of the optimum, more than the benchmark's 1e-9 bound
+    @pytest.mark.parametrize("m", [
+        MomentPair(0.042766995480963965, -0.16810225907073573),
+        MomentPair(0.0028040990860450535, -0.38553386051782923),
+        MomentPair(0.00029908302510439633, -0.4473372174005304),
+    ])
+    def test_reaches_the_closed_form_where_coordinate_sweeps_stall(self, m):
+        f = average_fidelity(m, optimal_angles(m))
+        assert abs(numeric_optimum(m)[2] - f) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=_FEASIBLE_MOMENTS)
+    def test_returns_a_point_of_the_square_at_least_the_boundary_cloners(self, m):
+        ap, am, f = numeric_optimum(m)
+        assert 0.0 <= ap <= math.pi / 2
+        assert 0.0 <= am <= math.pi / 2
+        assert abs(f - optimal._fidelity(m, ap, am, math.cos, math.sin)) <= 1e-15
+        for upper in (True, False):
+            assert f >= average_fidelity(m, pcc_params(upper)) - 1e-15
 
 
 class TestBranchStructure:
@@ -328,16 +369,6 @@ class TestBrosseauRegimes:
     def test_strong_polarization_hits_boundary(self):
         p = optimal_angles(moments(Brosseau(P=0.8, mu=0.5)))
         assert p.regime is Regime.PCC_UPPER
-
-
-def _on_line(where: str, a1: float, t: float) -> MomentPair:
-    """A moment pair at a1 on one of the lines where the branch choice turns."""
-    low = (3 * a1 * a1 - 1) / 2  # variance bound
-    line = (3 * abs(a1) - 1) / 2  # x+ x- = 0: 1 + 2 a2 = 3 |a1|
-    return MomentPair(a1, {
-        "region": low + t * (1.0 - low), "variance": low, "top": 1.0,
-        "line": line, "line+": line + 1e-12, "line-": line - 1e-12,
-    }[where])
 
 
 _BRANCH_MOMENTS = st.one_of(
