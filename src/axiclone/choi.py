@@ -142,10 +142,12 @@ def _haar_columns(z: np.ndarray, env: int) -> np.ndarray:
 # 1.1-1.8 MiB under tracemalloc with 256 rows, against 4.1-4.8 MiB with 1024
 # rows, at the same speed; the result does not depend on it.
 _HAAR_CHUNK = 256
+# Environment sizes of verify's Haar sweep.
+_ENV_DIMS = (1, 2, 4)
 
 
 def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
-                         env_dims=(1, 2, 4)) -> float:
+                         env_dims=_ENV_DIMS) -> float:
     """Largest Tr(chi R) over ``n_samples`` Haar channels per environment size.
 
     Every sample comes from one ``default_rng(seed)`` stream: sample k is row
@@ -206,7 +208,7 @@ def optimality_report(dist: AxisDistribution, n_samples: int,
                       seed: int = 0) -> dict:
     """Numbers for the optimality certificate of one distribution.
 
-    Runs the Haar sweep (n_samples per environment size in {1, 2, 4}) and
+    Runs the Haar sweep (n_samples per environment size in ``_ENV_DIMS``) and
     the dual certificate, against the analytic optimum.  ``F_upper`` bounds
     the fidelity of every CPTP map; it equals ``F_opt`` when the analytic
     cloner is optimal for the merit operator built from ``dist``.
@@ -215,13 +217,12 @@ def optimality_report(dist: AxisDistribution, n_samples: int,
     params = optimal_angles(m)
     f_opt = average_fidelity(m, params)
     r = build_merit(dist)
-    env_dims = (1, 2, 4)
-    sampled = max_sampled_fidelity(r, n_samples, seed=seed, env_dims=env_dims)
+    sampled = max_sampled_fidelity(r, n_samples, seed=seed)
     tr_y, lam = dual_certificate(r, params)
     return {
         "F_opt": f_opt,
         "max_sampled_F": sampled,
-        "n_samples": n_samples * len(env_dims),
+        "n_samples": n_samples * len(_ENV_DIMS),
         "dual_gap": tr_y - f_opt,
         "dual_lambda_min": lam,
         "F_upper": tr_y - 2 * min(lam, 0.0),

@@ -103,17 +103,15 @@ def parse_dist(spec: str) -> dist_mod.AxisDistribution:
         raise ParseError(f"invalid parameters for {name}: {exc}") from exc
 
 
-def _fmt(value) -> str:
+def _fmt(value: float) -> str:
     """17-significant-digit float rendering shared by JSON and CSV output."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        if value == 0.0:
-            return "0"  # avoid the "-0" rendering of negative zero
-        return format(value, ".17g")
-    return str(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    if value == 0.0:
+        return "0"  # avoid the "-0" rendering of negative zero
+    return format(value, ".17g")
 
 
 _CSV_ROW = ",".join(["%.17g"] * 9)
@@ -192,10 +190,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.flush()
 
 
-def _params_report(d: dist_mod.AxisDistribution) -> dict:
-    m = dist_mod.moments(d)
+def cmd_params(args) -> int:
+    m = dist_mod.moments(parse_dist(args.dist))
     p = optimal_angles(m)
-    return {
+    report = {
         "a1": m.a1,
         "a2": m.a2,
         "Gamma": p.gamma,
@@ -205,10 +203,6 @@ def _params_report(d: dist_mod.AxisDistribution) -> dict:
         "regime": p.regime.value,
         "F_avg": average_fidelity(m, p),
     }
-
-
-def cmd_params(args) -> int:
-    report = _params_report(parse_dist(args.dist))
     _emit(render_json(report), args.out)
     return EXIT_OK
 

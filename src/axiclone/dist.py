@@ -18,6 +18,7 @@ these moments are test oracles in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import warnings
@@ -356,12 +357,13 @@ KINDS: dict[str, type[AxisDistribution]] = {
 
 
 def load_tabulated(path: str) -> Tabulated:
-    """Read a two-column CSV (cos(theta), g); an optional header is skipped.
+    """Read a two-column CSV (cos(theta), g), with or without a header row.
 
-    A path that cannot be read as UTF-8 text is a ParseError.
+    Row 1 is the header if neither field is a number; a leading byte-order
+    mark is dropped.  A path that cannot be read as UTF-8 text is a ParseError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read table {path!r}: {exc.strerror}") from None
@@ -376,14 +378,16 @@ def load_tabulated(path: str) -> Tabulated:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise DomainError(f"{path}:{lineno}: expected two columns")
-        try:
-            x, g = float(parts[0]), float(parts[1])
-        except ValueError:
-            if lineno == 1:
+        numbers = []
+        for part in parts:
+            with contextlib.suppress(ValueError):
+                numbers.append(float(part))
+        if len(numbers) < 2:
+            if lineno == 1 and not numbers:
                 continue  # header row
-            raise DomainError(f"{path}:{lineno}: non-numeric row") from None
-        xs.append(x)
-        gs.append(g)
+            raise DomainError(f"{path}:{lineno}: non-numeric row")
+        xs.append(numbers[0])
+        gs.append(numbers[1])
     return Tabulated(xs=tuple(xs), gs=tuple(gs), source=path)
 
 

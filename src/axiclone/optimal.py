@@ -89,10 +89,10 @@ def _x_terms(a1: float, a2: float) -> tuple[float, float]:
     """x+ x- and the radicand rad of Omega, in the module docstring's forms.
 
     The deviation form where |a1|, a2 >= 1/2, so that d1 and d2 are exact
-    (Sterbenz's lemma).  Elsewhere the moment form, which the deviation form
-    matches only to rounding: |Gamma| near 1 with a small x factor needs a2
-    near 1, so away from the poles nothing is amplified, and the results
-    keep their bits.
+    (Sterbenz's lemma).  Elsewhere the moment form: for a small |a1|,
+    d1 = 1 - |a1| rounds away a1's low bits, and near the lines x+- = 0 the
+    small x_near = 3 d1 - 2 d2 would put Gamma off by up to 2.5e-9
+    relative, against 1.5e-13 for the moment form.
     """
     if abs(a1) >= 0.5 and a2 >= 0.5:
         d1, d2 = 1 - abs(a1), 1 - a2
@@ -163,19 +163,9 @@ def _boundary(upper: bool, gamma: float, omega: float) -> ClonerParams:
     return ClonerParams(math.pi / 2, 0.0, gamma, omega, Regime.PCC_LOWER)
 
 
-def _pole_or(m: MomentPair, fallback: ClonerParams) -> ClonerParams:
-    """The pole's cloner for m within ``FEASIBILITY_TOL`` of (+-1, 1), else ``fallback``.
-
-    There x+ x- is about 12 (a2 - 1), which can exceed ``DEGENERACY_EPS``
-    while Gamma tends to +-sqrt(2)/2 instead of the pole's +-sqrt(2), so the
-    interior formulas fail on a pair that is a pole up to the tolerance.
-    Further out ``fallback`` is returned: the boundary cloner where x+ x- or
-    Omega is out of range, the angles clamped to [0, pi/2] where they are.
-    """
-    a1, a2 = m
-    if abs(abs(a1) - 1) <= FEASIBILITY_TOL and abs(a2 - 1) <= FEASIBILITY_TOL:
-        return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
-    return fallback
+def _pole(a1: float) -> ClonerParams:
+    """The cloner copying the pole on a1's side; Gamma is its limit sqrt(2)/a1."""
+    return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
 
 
 def optimal_angles(m) -> ClonerParams:
@@ -188,9 +178,7 @@ def optimal_angles(m) -> ClonerParams:
 
     if abs(prod) < DEGENERACY_EPS:
         if abs(a1) > 0.5:
-            # point mass at a pole: clone that pole exactly;
-            # gamma set to its directional limit sqrt(2)/a1 along deltas
-            return _boundary(a1 > 0, math.copysign(SQRT2, a1), math.nan)
+            return _pole(a1)  # point mass at a pole
         # equatorial limit a1 -> 0, a2 -> -1/2: cancel (1 + 2 a2) against
         # sqrt(x+ x-); feasibility forces 1 + 2 a2 >= 0 so the sign is +
         rad = 3 + 4 * a2 * a2 - 4 * a2
@@ -213,16 +201,21 @@ def optimal_angles(m) -> ClonerParams:
 
     # written as "not <=" so that a NaN Omega takes this path too
     if prod <= 0 or not omega <= 1.0 + 1e-9:
-        return _pole_or(m, _boundary(a1 >= 0, g, omega))
-    omega = min(omega, 1.0)
-
-    b, d = math.asin(omega), math.asin(g)
-    ap, am = 0.5 * (b + d), 0.5 * (b - d)
-    p = ClonerParams(min(max(ap, 0.0), math.pi / 2),
-                     min(max(am, 0.0), math.pi / 2), g, omega, Regime.INTERIOR)
-    if not (-1e-12 <= ap <= math.pi / 2 + 1e-12
-            and -1e-12 <= am <= math.pi / 2 + 1e-12):
-        return _pole_or(m, p)
+        p = _boundary(a1 >= 0, g, omega)
+    else:
+        omega = min(omega, 1.0)
+        b, d = math.asin(omega), math.asin(g)
+        ap, am = 0.5 * (b + d), 0.5 * (b - d)
+        p = ClonerParams(min(max(ap, 0.0), math.pi / 2),
+                         min(max(am, 0.0), math.pi / 2), g, omega, Regime.INTERIOR)
+        if (-1e-12 <= ap <= math.pi / 2 + 1e-12
+                and -1e-12 <= am <= math.pi / 2 + 1e-12):
+            return p
+    # the interior formulas failed; within FEASIBILITY_TOL of a pole, where
+    # x+ x- ~ 12 (a2 - 1) can exceed DEGENERACY_EPS while Gamma tends to
+    # +-sqrt(2)/2, not the pole's +-sqrt(2), the pair is that pole
+    if abs(abs(a1) - 1) <= FEASIBILITY_TOL and abs(a2 - 1) <= FEASIBILITY_TOL:
+        return _pole(a1)
     return p
 
 

@@ -162,6 +162,17 @@ def test_non_finite_numbers_are_parse_errors(capsys, argv):
         assert "_finite_float" not in err
 
 
+def _json_reading(s: str) -> str:
+    """``s`` as JSON reads it back from its escapes.
+
+    A lone high surrogate followed by a lone low one is written as two
+    \\uXXXX escapes, which JSON reads as one surrogate pair: no JSON text
+    gives back such a string.  Every other string reads back unchanged.
+    """
+    return s.encode("utf-16-le", "surrogatepass").decode("utf-16-le",
+                                                         "surrogatepass")
+
+
 class TestRenderJson:
     def test_seventeen_digit_floats(self):
         assert render_json({"x": 5 / 6}) == '{\n  "x": 0.83333333333333337\n}'
@@ -172,23 +183,26 @@ class TestRenderJson:
 
     @settings(max_examples=300, deadline=None)
     @given(st.text())
+    @example("\ud800\udc00")
     def test_any_string_parses_back(self, s):
         # control characters, quotes and backslashes are escaped; other
         # characters, non-ASCII included, are written as they are
-        assert json.loads(render_json(s)) == s
-        assert json.loads(render_json({s: [s]})) == {s: [s]}
+        t = _json_reading(s)
+        assert json.loads(render_json(s)) == t
+        assert json.loads(render_json({s: [s]})) == {t: [t]}
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(st.characters()
                    | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF,
                                    categories=["Cs"])))
+    @example("\ud800\udc00")
     def test_lone_surrogates_are_escaped(self, s):
         # argv decodes a byte that is not UTF-8 to U+DC80..U+DCFF; it is
         # written as its \udcXX escape, so the output is UTF-8; any other
         # string is written exactly as json.dumps(ensure_ascii=False) does
         text = render_json(s)
         text.encode("utf-8")
-        assert json.loads(text) == s
+        assert json.loads(text) == _json_reading(s)
         if not any("\ud800" <= c <= "\udfff" for c in s):
             assert text == json.dumps(s, ensure_ascii=False)
 
@@ -284,6 +298,19 @@ class TestParamsCommand:
         assert (code, out) == (0, expected)
         assert err == (f"warning: tabulated density {str(double)!r} "
                        "integrates to 2; renormalising\n")
+
+    @pytest.mark.parametrize("rows", ["-1.0,0.5\n0.0,0.5\n1.0,0.5\n",
+                                      "-1.0,2.0\n0.0,0.0\n1.0,0.0\n",
+                                      "cos_theta,g\n-1.0,0.5\n1.0,0.5\n"])
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, rows):
+        # Excel writes a UTF-8 byte-order mark; row 1 is still read as data
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_text(rows, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        _, expected, _ = run_cli(capsys, "params", "--dist", f"table:{plain}")
+        code, out, err = run_cli(capsys, "params", "--dist", f"table:{marked}")
+        assert (code, out, err) == (0, expected, "")
 
     def test_underflowing_polarization(self, capsys):
         # P^2 underflows to zero; the moments are those of the uniform ring

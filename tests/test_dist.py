@@ -478,6 +478,20 @@ class TestTabulated:
         with pytest.raises(DomainError, match=":2: non-numeric row"):
             load_tabulated(str(path))
 
+    @pytest.mark.parametrize("row", ["-1.0,0.5x", "-1.0x,0.5", "-1.0,"])
+    def test_csv_loader_rejects_a_first_row_with_a_number(self, tmp_path, row):
+        # a header names both columns; a number in row 1 makes it a data row
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{row}\n0.0,0.5\n1.0,0.5\n")
+        with pytest.raises(DomainError, match=":1: non-numeric row"):
+            load_tabulated(str(path))
+
+    def test_csv_loader_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n-1.0,0.5\n\n  \n0.0,0.5\n1.0,0.5\n\n")
+        t = load_tabulated(str(path))
+        assert (t.xs, t.gs) == ((-1.0, 0.0, 1.0), (0.5, 0.5, 0.5))
+
     def test_csv_loader_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("-1.0,0.5,9\n1.0,0.5\n")

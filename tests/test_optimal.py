@@ -36,6 +36,30 @@ class TestGamma:
         assert optimal_angles(MomentPair(0.2, 0.0)).gamma < 0
         assert optimal_angles(MomentPair(-0.2, 0.0)).gamma > 0
 
+    def test_keeps_the_low_bits_of_a1_near_a_vanishing_x(self):
+        # Near the lines x+- = 0 away from the poles, d1 = 1 - |a1| would
+        # round away a1's low bits; the moment form that _x_terms uses
+        # there keeps Gamma within 1.5e-13 of its 50-digit value, where the
+        # deviation form is off by up to 2.5e-9.
+        import mpmath
+
+        rng = np.random.default_rng(20261020)
+        checked = 0
+        for _ in range(5000):
+            a1 = float(rng.choice([1.0, -1.0]) * rng.uniform(1e-7, 1e-4))
+            eps = float(10 ** rng.uniform(-6, -2))
+            a2 = (3 * abs(a1) * (1 + eps) - 1) / 2  # 1 + 2 a2 = 3 |a1| (1 + eps)
+            with mpmath.workdps(50):
+                x1, x2 = mpmath.mpf(a1), mpmath.mpf(a2)
+                prod = (1 + 2 * x2) ** 2 - 9 * x1 ** 2
+                exact = 6 * mpmath.sqrt(2) * x1 * (x2 - 1) / prod
+            if abs(prod) < 1e-10:
+                continue
+            gamma = optimal_angles(MomentPair(a1, a2)).gamma
+            assert abs(gamma - exact) <= 1e-11 * abs(exact), (a1, a2)
+            checked += 1
+        assert checked >= 600
+
 
 class TestOptimalAngles:
     def test_uniform_recovers_state_independent_cloner(self):
