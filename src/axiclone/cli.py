@@ -21,10 +21,10 @@ import os
 import sys
 import warnings
 
-from . import circuit as circuit_mod
 from . import dist as dist_mod
 from .errors import CloneError, ParseError
-from .optimal import (average_fidelity, optimal_angles, pcc_params,
+from .optimal import (Regime, _coefficients, _fidelity, _weights,
+                      average_fidelity, optimal_angles, pcc_params,
                       single_copy_fidelity, uc_params)
 
 EXIT_OK = 0
@@ -267,20 +267,28 @@ def cmd_sweep(args) -> int:
     columns = ["param", "a1", "a2", "Gamma", "alpha_plus", "alpha_minus",
                "F_opt", "F_UC", "F_PCC_branch"]
     lines = [",".join(columns)]
-    uc, pcc_upper, pcc_lower = uc_params(), pcc_params(True), pcc_params(False)
+
+    def factors(p):
+        return _coefficients(p.alpha_plus, p.alpha_minus)
+
+    # the reference cloners' factors of the fidelity, once per call: they
+    # give F_UC, F_PCC_branch, and F_opt wherever the optimum is a boundary
+    # cloner; each row forms its ensemble's factors once
+    uc, upper, lower = map(factors, (uc_params(), pcc_params(True),
+                                     pcc_params(False)))
+    boundary = {Regime.PCC_UPPER: upper, Regime.PCC_LOWER: lower}
     for value in grid:
-        row: list[float] = [float(value)]
         try:
-            d = base.with_(**dict.fromkeys(keys, float(value)))
-            m = dist_mod.moments(d)
+            m = dist_mod.moments(base.with_(**dict.fromkeys(keys, value)))
             p = optimal_angles(m)
-            row += [m.a1, m.a2, p.gamma, p.alpha_plus, p.alpha_minus,
-                    average_fidelity(m, p), average_fidelity(m, uc),
-                    average_fidelity(m, pcc_upper if m.a1 >= 0 else pcc_lower)]
+            w = _weights(m)
+            c = boundary.get(p.regime) or factors(p)
+            row = (value, m.a1, m.a2, p.gamma, p.alpha_plus, p.alpha_minus,
+                   _fidelity(c, w), _fidelity(uc, w),
+                   _fidelity(upper if m.a1 >= 0 else lower, w))
         except CloneError as exc:
-            sys.stderr.write(
-                f"warning: {','.join(keys)}={_fmt(float(value))}: {exc}\n")
-            row += [math.nan] * 8
+            sys.stderr.write(f"warning: {','.join(keys)}={_fmt(value)}: {exc}\n")
+            row = (value,) + (math.nan,) * 8
         lines.append(_csv_row(row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -324,6 +332,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    from . import circuit as circuit_mod
+
     d = parse_dist(args.dist)
     m = dist_mod.moments(d)
     p = optimal_angles(m)

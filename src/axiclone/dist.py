@@ -342,7 +342,9 @@ class Tabulated(AxisDistribution):
 
 def moments(dist: AxisDistribution) -> MomentPair:
     """Leading Legendre moments (a1, a2), checked for feasibility."""
-    m = MomentPair(*dist.moment_pair())
+    m = dist.moment_pair()
+    if not isinstance(m, MomentPair):
+        m = MomentPair(*m)
     if not validate_moments(m):
         raise InfeasibleMomentsError(
             f"moments {m} violate the second-moment bound (corrupt input?)")
@@ -359,8 +361,9 @@ KINDS: dict[str, type[AxisDistribution]] = {
 def load_tabulated(path: str) -> Tabulated:
     """Read a two-column CSV (cos(theta), g), with or without a header row.
 
-    Row 1 is the header if neither field is a number; a leading byte-order
-    mark is dropped.  A path that cannot be read as UTF-8 text is a ParseError.
+    Blank lines are skipped, and the first non-blank row is the header if
+    neither field is a number; a leading byte-order mark is dropped.  A path
+    that cannot be read as UTF-8 text is a ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -371,10 +374,9 @@ def load_tabulated(path: str) -> Tabulated:
         raise ParseError(f"table {path!r} is not UTF-8 text") from None
     xs: list[float] = []
     gs: list[float] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    rows = [(lineno, text) for lineno, line in enumerate(lines, start=1)
+            if (text := line.strip())]
+    for row, (lineno, line) in enumerate(rows):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise DomainError(f"{path}:{lineno}: expected two columns")
@@ -383,7 +385,7 @@ def load_tabulated(path: str) -> Tabulated:
             with contextlib.suppress(ValueError):
                 numbers.append(float(part))
         if len(numbers) < 2:
-            if lineno == 1 and not numbers:
+            if row == 0 and not numbers:
                 continue  # header row
             raise DomainError(f"{path}:{lineno}: non-numeric row")
         xs.append(numbers[0])

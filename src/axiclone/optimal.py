@@ -115,29 +115,37 @@ def _omega(a2: float, prod: float, rad: float) -> float:
     return 2 * SQRT2 * (1 + 2 * a2) * (1 - a2) / math.sqrt(denom_sq)
 
 
-def _fidelity(m, alpha_plus, alpha_minus, cos, sin):
-    """The average-fidelity formula, with ``cos`` and ``sin`` supplied.
+def _coefficients(alpha_plus, alpha_minus, cos=math.cos, sin=math.sin):
+    """The cloner's factors (c+, c-, c_S) of the average fidelity.
+
+    ``math`` functions give one angle pair's; numpy's give a mesh of them.
+    """
+    return (2 * (3 + cos(2 * alpha_plus)), 2 * (3 + cos(2 * alpha_minus)),
+            sin(alpha_plus) ** 2 + sin(alpha_minus) ** 2
+            + 2 * SQRT2 * sin(alpha_plus + alpha_minus))
+
+
+def _weights(m) -> tuple[float, float, float]:
+    """The ensemble's factors (M+, M-, S) of the average fidelity.
 
     The single-copy fidelity is quadratic in cos(theta), so the ensemble
     average reduces exactly to the moments: with m2 = (2 a2 + 1)/3,
-    M+- = (1 +- 2 a1 + m2)/4 and S = 1 - m2.  ``math`` functions evaluate
-    one angle pair; numpy's evaluate a mesh of them.
+    M+- = (1 +- 2 a1 + m2)/4 and S = 1 - m2.
     """
     a1, a2 = m
     m2 = (2 * a2 + 1) / 3
-    mp = (1 + 2 * a1 + m2) / 4
-    mm = (1 - 2 * a1 + m2) / 4
-    s = 1 - m2
-    return 0.125 * (
-        2 * (3 + cos(2 * alpha_plus)) * mp
-        + 2 * (3 + cos(2 * alpha_minus)) * mm
-        + (sin(alpha_plus) ** 2 + sin(alpha_minus) ** 2
-           + 2 * SQRT2 * sin(alpha_plus + alpha_minus)) * s)
+    return (1 + 2 * a1 + m2) / 4, (1 - 2 * a1 + m2) / 4, 1 - m2
+
+
+def _fidelity(c, w):
+    """Average fidelity (c+ M+ + c- M- + c_S S)/8 of factors ``c`` and ``w``."""
+    return 0.125 * (c[0] * w[0] + c[1] * w[1] + c[2] * w[2])
 
 
 def average_fidelity(m, p: ClonerParams) -> float:
     """Ensemble-average single-copy fidelity of the cloner ``p``."""
-    return float(_fidelity(m, p.alpha_plus, p.alpha_minus, math.cos, math.sin))
+    return float(_fidelity(_coefficients(p.alpha_plus, p.alpha_minus),
+                           _weights(m)))
 
 
 def single_copy_fidelity(theta: float, p: ClonerParams) -> float:
@@ -170,7 +178,8 @@ def _pole(a1: float) -> ClonerParams:
 
 def optimal_angles(m) -> ClonerParams:
     """Angles maximising the ensemble-average single-copy fidelity."""
-    m = MomentPair(*m)
+    if not isinstance(m, MomentPair):
+        m = MomentPair(*m)
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
     a1, a2 = m
@@ -241,13 +250,14 @@ def numeric_optimum(m):
     if not validate_moments(m):
         raise InfeasibleMomentsError(f"moments {tuple(m)} are not feasible")
 
+    w = _weights(m)
     ap = am = np.linspace(0.0, math.pi / 2, 400)
     h = math.pi / 2 / 399
     while True:
         best = (0.0, 0.0, -math.inf)
         for lo in range(0, ap.size, _MESH_BLOCK):
-            f = _fidelity(m, ap[lo:lo + _MESH_BLOCK, None], am[None, :],
-                          np.cos, np.sin)
+            f = _fidelity(_coefficients(ap[lo:lo + _MESH_BLOCK, None],
+                                        am[None, :], np.cos, np.sin), w)
             i, j = np.unravel_index(np.argmax(f), f.shape)
             if f[i, j] > best[2]:
                 best = float(ap[lo + i]), float(am[j]), float(f[i, j])

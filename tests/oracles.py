@@ -37,7 +37,9 @@ from Kronecker products formed per call is the reference for the
 precomputed terms of :func:`axiclone.choi.build_merit`.  The closed-form
 optimum at 50 digits in mpmath is the reference the float closed form must
 reach to rounding, near a pole too, where x+ x- is a small difference of
-O(1) terms.
+O(1) terms.  The average fidelity written as one expression in the moments
+and the angles is the reference the package's factor form, the cloner's
+factors paired with the ensemble's, must equal bit for bit.
 """
 
 import heapq
@@ -752,3 +754,22 @@ def clone_fidelity_reference(q, p: ClonerParams, i: int) -> float:
     bra = [a[0].conjugate() * rho[0][k] + a[1].conjugate() * rho[1][k]
            for k in (0, 1)]
     return (bra[0] * a[0] + bra[1] * a[1]).real
+
+
+def fidelity_reference(m, alpha_plus, alpha_minus, cos=math.cos, sin=math.sin):
+    """The average fidelity as one expression, in the package's operation order.
+
+    With m2 = (2 a2 + 1)/3, M+- = (1 +- 2 a1 + m2)/4 and S = 1 - m2,
+    F = (2 (3 + cos 2a+) M+ + 2 (3 + cos 2a-) M-
+         + (sin^2 a+ + sin^2 a- + 2 sqrt(2) sin(a+ + a-)) S) / 8.
+    """
+    a1, a2 = m
+    m2 = (2 * a2 + 1) / 3
+    mp = (1 + 2 * a1 + m2) / 4
+    mm = (1 - 2 * a1 + m2) / 4
+    s = 1 - m2
+    return 0.125 * (
+        2 * (3 + cos(2 * alpha_plus)) * mp
+        + 2 * (3 + cos(2 * alpha_minus)) * mm
+        + (sin(alpha_plus) ** 2 + sin(alpha_minus) ** 2
+           + 2 * SQRT2 * sin(alpha_plus + alpha_minus)) * s)

@@ -18,10 +18,11 @@ from axiclone.cli import main, parse_dist, render_json
 from axiclone.dist import (AxisDistribution, Belt, Brosseau, Delta, DeltaPair,
                            HenyeyGreenstein, MomentPair, Uniform,
                            VonMisesFisher, spec_string)
-from axiclone.errors import ParseError, UnsupportedKindError
+from axiclone.errors import CloneError, ParseError, UnsupportedKindError
+from axiclone.optimal import optimal_angles, pcc_params, uc_params
 
 from conftest import KIND_STRATEGIES, random_distribution
-from oracles import block_basis, mp_optimum
+from oracles import block_basis, fidelity_reference, mp_optimum
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -286,6 +287,16 @@ class TestParamsCommand:
         assert err.startswith(f"error: cannot write {out!r}: ")
         assert err.count("\n") == 1
 
+    def test_table_with_blank_lines_before_its_header(self, capsys, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("cos_theta,g\n-1.0,0.5\n0.0,0.5\n1.0,0.5\n")
+        lead = tmp_path / "lead.csv"
+        lead.write_text("\n" + plain.read_text())
+        _, expected, _ = run_cli(capsys, "params", "--dist", f"table:{plain}")
+        code, out, err = run_cli(capsys, "params", "--dist", f"table:{lead}")
+        assert (code, out, err) == (0, expected, "")
+        assert json.loads(out)["a1"] == 0
+
     def test_renormalised_table_warns_in_one_line(self, capsys, tmp_path):
         # the warning names the table, not the package's source; stdout is
         # the report of the normalised table
@@ -448,6 +459,34 @@ class TestSimulateCommand:
         assert rep["F_clone1"] == pytest.approx(rep["F_closed_form"], abs=1e-12)
 
 
+def _seeded_sweeps(rng):
+    """(base spec, sweep key, start, stop, points) over every sweepable kind.
+
+    The tied Brosseau grid runs to P = mu = 0.999999; the hg and delta grids
+    end past their domains, so their last rows warn.
+    """
+    sweeps = [("brosseau:P=0,mu=0", "P,mu", 0.0, 0.999999, 301),
+              ("hg:h=0", "h", 0.5, 1.2, 15),
+              ("delta:theta=0", "theta", 0.0, math.pi + 0.5, 41)]
+    for _ in range(3):
+        n = int(rng.integers(2, 80))
+        t1 = float(rng.uniform(0.0, 2.5))
+        sweeps += [
+            ("vmf:kappa=0", "kappa", -rng.uniform(0.0, 20.0),
+             10 ** rng.uniform(0.0, 4.0), n),
+            ("hg:h=0", "h", -rng.uniform(0.5, 0.9999), rng.uniform(0.5, 0.9999), n),
+            (f"belt:theta1={t1!r},theta2={math.pi!r}", "theta2", t1 + 0.01,
+             math.pi, n),
+            ("delta:theta=0", "theta", rng.uniform(0.0, 0.5),
+             rng.uniform(math.pi - 0.5, math.pi), n),
+            ("deltapair:theta=0", "theta", rng.uniform(0.0, 0.5),
+             rng.uniform(math.pi - 0.5, math.pi), n),
+            ("brosseau:P=0,mu=0", "P,mu", 0.0, rng.uniform(0.9, 0.9999), n),
+            ("brosseau:P=0.9,mu=0", "mu", -0.9, rng.uniform(0.0, 0.9), n),
+        ]
+    return sweeps
+
+
 class TestSweepCommand:
     def test_vmf_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -499,6 +538,36 @@ class TestSweepCommand:
 
         for low, high in zip(f_opt_column(tied), f_opt_column(envelope)):
             assert high >= low - 1e-12
+
+    def test_rows_equal_the_reference_formula(self, capsys):
+        # each row's fidelities are the one-expression formula of the
+        # oracles at F_opt's, the universal and the branch's boundary cloner
+        uc = uc_params()
+        warned = 0
+        for base, key, start, stop, n in _seeded_sweeps(np.random.default_rng(29)):
+            start, stop = float(start), float(stop)
+            code, out, err = run_cli(capsys, "sweep", "--dist", base,
+                                     "--sweep", f"{key}={start!r}:{stop!r}:{n}")
+            assert code == 0
+            keys = key.split(",")
+            want = []
+            for value in np.linspace(start, stop, n).tolist():
+                try:
+                    m = dist_mod.moments(parse_dist(base).with_(
+                        **dict.fromkeys(keys, value)))
+                    p = optimal_angles(m)
+                except CloneError:
+                    want.append(cli._csv_row((value,) + (math.nan,) * 8))
+                    continue
+                fids = [fidelity_reference(m, c.alpha_plus, c.alpha_minus)
+                        for c in (p, uc, pcc_params(m.a1 >= 0))]
+                want.append(cli._csv_row((value, m.a1, m.a2, p.gamma,
+                                          p.alpha_plus, p.alpha_minus, *fids)))
+            assert out.splitlines()[1:] == want, (base, key)
+            nan_rows = sum("nan" in row for row in want)
+            assert len(err.splitlines()) == nan_rows
+            warned += nan_rows
+        assert warned > 0
 
     def test_failed_rows_are_nan_with_warning(self, capsys, tmp_path):
         out_path = tmp_path / "hg.csv"

@@ -472,6 +472,28 @@ class TestTabulated:
         assert t.xs == (-1.0, 0.0, 1.0)
         assert moments(t).a1 == pytest.approx(0.0, abs=1e-14)
 
+    def test_csv_loader_header_after_blank_lines(self, tmp_path):
+        # the header is the first non-blank row, wherever the file starts
+        path = tmp_path / "lead.csv"
+        path.write_text("\n  \ncos_theta,g\n-1.0,0.5\n0.0,0.5\n1.0,0.5\n")
+        t = load_tabulated(str(path))
+        assert (t.xs, t.gs) == ((-1.0, 0.0, 1.0), (0.5, 0.5, 0.5))
+        assert moments(t).a1 == 0.0
+
+    @pytest.mark.parametrize("row", ["-1.0,0.5x", "cos_theta,0.5"])
+    def test_csv_loader_rejects_a_numeric_first_row_after_blank_lines(
+            self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"\n\n{row}\n0.0,0.5\n1.0,0.5\n")
+        with pytest.raises(DomainError, match=":3: non-numeric row"):
+            load_tabulated(str(path))
+
+    def test_csv_loader_takes_one_header_only(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\ncos_theta,g\n\nx,g\n0.0,0.5\n1.0,0.5\n")
+        with pytest.raises(DomainError, match=":4: non-numeric row"):
+            load_tabulated(str(path))
+
     def test_csv_loader_rejects_non_numeric_row_after_the_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("-1.0,0.5\nhalf,0.5\n1.0,0.5\n")

@@ -16,7 +16,8 @@ from axiclone import choi, cli, dist, optimal
 from conftest import (angle_params, random_distribution,
                       random_feasible_moments, traced_peak_mib)
 from oracles import (branch_search_angles, density, extremal_iteration,
-                     integrate_marginal, mp_optimum, vmf_kappa_threshold)
+                     fidelity_reference, integrate_marginal, mp_optimum,
+                     vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -361,7 +362,7 @@ class TestNumericOptimum:
         ap, am, f = numeric_optimum(m)
         assert 0.0 <= ap <= math.pi / 2
         assert 0.0 <= am <= math.pi / 2
-        assert abs(f - optimal._fidelity(m, ap, am, math.cos, math.sin)) <= 1e-15
+        assert abs(f - fidelity_reference(m, ap, am)) <= 1e-15
         for upper in (True, False):
             assert f >= average_fidelity(m, pcc_params(upper)) - 1e-15
 
@@ -384,6 +385,43 @@ _MP_MOMENTS = st.one_of(
     _FEASIBLE_MOMENTS,
     st.builds(_pole_band, st.sampled_from([1.0, -1.0]), st.floats(-14.0, -9.0),
               st.floats(0.0, 1.0)))
+
+
+# the feasible region, the band 1e-14 to 1e-3 from either pole, and the
+# equator line a1 = 0, its end (0, -1/2) included
+_FACTOR_MOMENTS = st.one_of(
+    _FEASIBLE_MOMENTS,
+    st.builds(_pole_band, st.sampled_from([1.0, -1.0]), st.floats(-14.0, -3.0),
+              st.floats(0.0, 1.0)),
+    st.builds(lambda t: MomentPair(0.0, -0.5 + 1.5 * t),
+              st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+
+
+class TestFactorForm:
+    """The cloner's factors paired with the ensemble's are the one-expression
+    formula of ``tests/oracles.py`` bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(m=_FACTOR_MOMENTS, ap=st.floats(0.0, math.pi / 2),
+           am=st.floats(0.0, math.pi / 2))
+    def test_average_fidelity_equals_the_reference(self, m, ap, am):
+        assert validate_moments(m)
+        cloners = [uc_params(), pcc_params(True), pcc_params(False),
+                   optimal_angles(m), angle_params(ap, am)]
+        for p in cloners:
+            want = fidelity_reference(m, p.alpha_plus, p.alpha_minus)
+            assert average_fidelity(m, p).hex() == want.hex(), p
+
+    def test_mesh_equals_the_reference(self, rng):
+        # numeric_optimum pairs numpy's factors of a mesh with the weights
+        ap = rng.uniform(0.0, math.pi / 2, (7, 1))
+        am = rng.uniform(0.0, math.pi / 2, (1, 9))
+        for _ in range(50):
+            m = random_feasible_moments(rng)
+            got = optimal._fidelity(
+                optimal._coefficients(ap, am, np.cos, np.sin), optimal._weights(m))
+            want = fidelity_reference(m, ap, am, np.cos, np.sin)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMpmathOptimum:
@@ -548,7 +586,7 @@ class TestBranchChoice:
         assert abs((upper - lower) - a1 / 2) <= 1e-15
 
         def fidelity(ap, am):
-            return optimal._fidelity(m, ap, am, math.cos, math.sin)
+            return fidelity_reference(m, ap, am)
 
         pairs = [(b, d)]
         if got is not InfeasibleMomentsError:

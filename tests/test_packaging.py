@@ -96,6 +96,15 @@ def test_scalar_commands_load_no_class_generator():
         assert not loaded, f"{argv[0]} loaded {sorted(loaded)}"
 
 
+def test_only_the_circuit_command_loads_the_circuit_module():
+    # cli imports circuit inside cmd_circuit, as it imports qsim and choi
+    # inside their commands, so a cold params, sweep or simulate skips it
+    for argv in _SCALAR_COMMANDS:
+        imported = _cold_imports("-S", "-m", "axiclone.cli", *argv)
+        assert "axiclone.optimal" in imported, argv
+        assert ("axiclone.circuit" in imported) == (argv[0] == "circuit"), argv
+
+
 def _module_level_imports(tree: ast.Module) -> set[str]:
     """Top modules a module imports when it loads.
 
