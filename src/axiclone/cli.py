@@ -176,7 +176,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not text.endswith("\n"):
+        text += "\n"
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -184,8 +186,6 @@ def _emit(text: str, out: str | None) -> None:
             raise ParseError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         # a closed pipe raises here, inside main, not at interpreter exit
         sys.stdout.flush()
 
@@ -384,7 +384,7 @@ def _build_parser() -> _Parser:
 
 def _run(args) -> int:
     """Run the command; a failed run removes the --out file it made."""
-    made = bool(args.out) and _claim_out(args.out)
+    made = args.out is not None and _claim_out(args.out)
     try:
         return args.fn(args)
     except BaseException:

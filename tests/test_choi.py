@@ -267,6 +267,12 @@ class TestMaxSampledFidelity:
                 for r in (r0, phase_conjugated(r0)):
                     loop = np.array([row_fidelity(r, row, env) for row in z])
                     assert np.max(np.abs(loop - lapack_fidelities(r, z, env))) <= 1e-14
+        # README: verify --dist vmf:kappa=1.0 --samples 10000 --seed 42
+        sampled = max_sampled_fidelity(r0, 10_000, seed=42)
+        assert abs(sampled - 0.72998774121532639) <= 1e-15
+        z = np.random.default_rng(42).standard_normal((10_000, 128))
+        lapack = max(lapack_fidelities(r0, z, env).max() for env in (1, 2, 4))
+        assert abs(lapack - 0.72998774121532661) <= 1e-15
 
     def test_complex_hermitian_merit_keeps_imaginary_part(self):
         # a contraction with Re R alone drops 2 Im(v)^T Im(R) Re(v) and

@@ -1,8 +1,6 @@
-import hashlib
 import json
 import math
 import os
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +21,8 @@ from axiclone.optimal import optimal_angles, pcc_params, uc_params
 
 from conftest import KIND_STRATEGIES, random_distribution
 from oracles import block_basis, fidelity_reference, mp_optimum
+from readme_examples import (README_SHA256, README_VERIFY, fault,
+                             readme_commands)
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -380,12 +380,20 @@ class TestOutPath:
             raise AssertionError("the distribution was parsed")
 
         monkeypatch.setattr(cli, "parse_dist", never)
-        out = str(tmp_path / "missing" / "x.json")
-        code, stdout, err = run_cli(capsys, command, "--dist", "vmf:kappa=1",
-                                    *_COMMAND_ARGS[command], "--out", out)
-        assert (code, stdout) == (1, "")
-        assert err == (f"error: cannot write {out!r}: "
-                       "No such file or directory\n")
+        for out in (str(tmp_path / "missing" / "x.json"), ""):
+            code, stdout, err = run_cli(capsys, command, "--dist", "vmf:kappa=1",
+                                        *_COMMAND_ARGS[command], "--out", out)
+            assert (code, stdout) == (1, "")
+            assert err == (f"error: cannot write {out!r}: "
+                           "No such file or directory\n")
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+    def test_file_holds_the_bytes_stdout_gets(self, capsys, tmp_path, command):
+        argv = [command, "--dist", "vmf:kappa=1", *_COMMAND_ARGS[command]]
+        out = tmp_path / "out"
+        _, stdout, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == stdout.encode()
 
     def test_unwritable_out_skips_the_certificate(self, capsys, monkeypatch,
                                                   tmp_path):
@@ -945,66 +953,16 @@ def test_reused_parser_keeps_calls_independent(capsys, tmp_path):
     assert reused[2][2] == "error: argument --phi: bad number 'x'\n"
 
 
-def _readme_commands() -> list[str]:
-    """The ``axiclone ...`` lines of README's "Command line" block."""
-    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-    return [line for line in block.split("```", 1)[0].splitlines()
-            if line.startswith("axiclone ")]
-
-
-# sha256 of each README example's output (stdout, or the --out file)
-README_SHA256 = {
-    "axiclone params --dist vmf:kappa=1.5":
-        "375d2cf5fd351bab16139967d28d395d80780c58f681d5de9bc7d37ba4422f64",
-    "axiclone sweep --dist vmf:kappa=0 --sweep kappa=0:3:301 --out sweep.csv":
-        "1be7161179078c0a07384dcb268d3992d26075d84eecf97c82f4387a77ac2170",
-    # rows P = 0.88-0.95, where |a1|, a2 >= 1/2, print Gamma from the
-    # deviations d1 = 1 - |a1|, d2 = 1 - a2
-    "axiclone sweep --dist brosseau:P=0,mu=0 --sweep P,mu=0:0.95:96 --out tied.csv":
-        "d571070ef16b4d9e989dbe81aed458cf1664c86ba3102c39b5c9dccc9b0fbad8",
-    "axiclone simulate --dist uniform --theta 0.7 --phi 2.1":
-        "1174fbaca346daccd19ba886a2d3e28814a8ae1f272387acb31362b70eb19b1a",
-    "axiclone circuit --dist brosseau:P=0.8,mu=0.5":
-        "906a4db2524125cf936b9409f8bd957b2a2677cb876ce3a541f1ebf47bdee1e4",
-}
-# verify's report; max_sampled_F depends on BLAS rounding and is checked
-# to 1e-15, every other field exactly and in this order
-README_VERIFY = {
-    "axiclone verify --dist deltapair:theta=1.0472 --samples 10000 --seed 42": {
-        "distribution": "deltapair:theta=1.0472",
-        "F_opt": 0.83493126195043865,
-        "max_sampled_F": 0.70739189978782702,
-        "n_samples": 30000,
-        "dual_gap": -1.1102230246251565e-16,
-        "dual_lambda_min": -3.7133924407628527e-18,
-        "F_upper": 0.83493126195043854,
-    },
-}
-
-
 class TestReadmeExamples:
     def test_every_example_is_pinned(self):
-        assert sorted(_readme_commands()) == sorted({**README_SHA256,
-                                                     **README_VERIFY})
+        assert sorted(readme_commands()) == sorted({**README_SHA256,
+                                                    **README_VERIFY})
 
-    @pytest.mark.parametrize("line", _readme_commands())
-    def test_output_is_pinned(self, capsys, tmp_path, line):
-        argv = shlex.split(line)[1:]
-        out_file = None
-        if "--out" in argv:
-            i = argv.index("--out") + 1
-            out_file = argv[i] = str(tmp_path / argv[i])
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 0 and err == ""
-        if out_file is not None:
-            assert out == ""
-            out = Path(out_file).read_text(encoding="utf-8")
-        if line in README_VERIFY:
-            expected = dict(README_VERIFY[line])
-            rep = json.loads(out)
-            sampled = rep.pop("max_sampled_F")
-            assert abs(sampled - expected.pop("max_sampled_F")) <= 1e-15
-            assert list(rep.items()) == list(expected.items())
-        else:
-            assert hashlib.sha256(out.encode()).hexdigest() == README_SHA256[line]
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_output_is_pinned(self, line):
+        # the scalar lines run under -S with only src/ on the path, so no
+        # installed package, numpy included, can reach them
+        flags = [] if line in README_VERIFY else ["-S"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        why = fault(line, [sys.executable, *flags, "-m", "axiclone.cli"], env)
+        assert why is None, why
