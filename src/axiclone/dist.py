@@ -12,7 +12,7 @@ fully determine the optimal symmetric 1->2 cloner for the ensemble, and they
 are all this module computes.  Every parametric kind has them in closed form
 (a short power series stands in where the closed form cancels), and a table
 sums them exactly over its linear segments, so nothing here integrates
-numerically.  The densities and the adaptive quadrature that cross-check
+numerically.  The densities and the 30-digit integrals that cross-check
 these moments are test oracles in ``tests/oracles.py``.
 """
 

@@ -207,18 +207,21 @@ def optimal_angles(m) -> ClonerParams:
     omega = _omega(a2, prod, rad)
     if abs(g) >= 1.0:
         return _boundary(a1 >= 0, g, omega)
+    if prod <= 0:
+        # |Gamma| < 1 with x+ x- <= 0 happens only within about 3.6e-9 of a
+        # pole, inside FEASIBILITY_TOL: the pair is that pole
+        return _pole(a1)
 
     # written as "not <=" so that a NaN Omega takes this path too
-    if prod <= 0 or not omega <= 1.0 + 1e-9:
+    if not omega <= 1.0 + 1e-9:
         p = _boundary(a1 >= 0, g, omega)
     else:
         omega = min(omega, 1.0)
         b, d = math.asin(omega), math.asin(g)
+        # b <= pi/2 and |d| < pi/2, so both angles stay below pi/2
         ap, am = 0.5 * (b + d), 0.5 * (b - d)
-        p = ClonerParams(min(max(ap, 0.0), math.pi / 2),
-                         min(max(am, 0.0), math.pi / 2), g, omega, Regime.INTERIOR)
-        if (-1e-12 <= ap <= math.pi / 2 + 1e-12
-                and -1e-12 <= am <= math.pi / 2 + 1e-12):
+        p = ClonerParams(max(ap, 0.0), max(am, 0.0), g, omega, Regime.INTERIOR)
+        if ap >= -1e-12 and am >= -1e-12:
             return p
     # the interior formulas failed; within FEASIBILITY_TOL of a pole, where
     # x+ x- ~ 12 (a2 - 1) can exceed DEGENERACY_EPS while Gamma tends to

@@ -1,10 +1,12 @@
 """Independent references for the tests; numpy and mpmath only.
 
 The package computes every Legendre moment in closed form.  The densities
-below, one per kind written out from the formula in its docstring, and the
-adaptive Gauss-Legendre quadrature that integrates them are the independent
-path those moments, the normalisation, the merit operator and the average
-fidelity are checked against.  Fiurasek's extremal iteration maximises
+below, one per kind written out at 30 digits from the formula in its
+docstring, and mpmath's double-exponential quadrature that integrates them
+are the independent path those moments, the normalisation and the average
+fidelity are checked against, to 1e-14.  The 8x8 merit operator is
+integrated against them by a float Gauss-Legendre rule instead, whose 64-
+and 128-node passes must agree.  Fiurasek's extremal iteration maximises
 Tr(chi R) over every CPTP map through CPTP iterates only, reading nothing of
 the closed form, so its fixed point checks the analytic cloner from the
 primal side, as the dual certificate checks it from the other.  The Haar
@@ -42,8 +44,7 @@ and the angles is the reference the package's factor form, the cloner's
 factors paired with the ensemble's, must equal bit for bit.
 """
 
-import heapq
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -61,245 +62,143 @@ from axiclone.optimal import (DEGENERACY_EPS, SQRT2, _TIE_TOL, ClonerParams,
 from axiclone.qsim import apply_clone
 
 
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+# Working precision of the reference integrals, and the largest error
+# estimate mpmath.quad may report for one of them.
+_DPS = 30
+_QUAD_TOL = 1e-15
 
 
-# Adaptive Gauss-Legendre quadrature on finite intervals.  The base rule is
-# 64-node Gauss-Legendre.  Each interval's value is the sum of its two
-# half-interval estimates and its error is the difference from the parent
-# estimate; the interval with the largest error is bisected until the global
-# error estimate meets the absolute tolerance.  Intervals are never split
-# more than ``max_depth`` times, and an interval whose residual sits at
-# double-precision noise is accepted as converged.  Integrands may be scalar
-# or array valued (the error is then the entrywise max-abs).
-MAX_DEPTH = 20
-MAX_SPLITS = 20_000
+def fixed_rule(f, a: float, b: float, n: int):
+    """One n-node Gauss-Legendre pass over [a, b] of an array-valued ``f``.
 
-# Residuals below this relative level are round-off, not truncation.
-NOISE_FLOOR = 5e-14
-
-_NODES, _WEIGHTS = leggauss(64)
-
-
-def fixed_rule(f, a: float, b: float):
-    """One 64-node Gauss-Legendre pass over [a, b].
-
-    ``f`` receives an array of abscissae and must return an array whose
-    leading axis matches; trailing axes are integrated elementwise.
+    ``f`` maps the array of nodes to values along its leading axis.
     """
+    nodes, weights = leggauss(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * _NODES))
-    return half * np.tensordot(_WEIGHTS, vals, axes=(0, 0))
+    vals = np.asarray(f(mid + half * nodes))
+    return half * np.tensordot(weights, vals, axes=(0, 0))
 
 
-def _evaluate(f, a, b):
-    """Refined estimate over [a, b] plus its error against the coarse pass."""
-    whole = fixed_rule(f, a, b)
-    mid = 0.5 * (a + b)
-    value = fixed_rule(f, a, mid) + fixed_rule(f, mid, b)
-    err = float(np.max(np.abs(value - whole)))
-    if err <= NOISE_FLOOR * max(float(np.max(np.abs(value))), 1.0):
-        err = 0.0
-    return value, err
+def density(dist):
+    """Marginal g(x) of a density-backed kind, as a function of an mpmath x.
 
-
-def integrate(f, a: float, b: float, tol: float = 1e-10,
-              max_depth: int = MAX_DEPTH):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
-
-    Raises QuadratureError when the error estimate cannot be brought under
-    ``tol`` within the depth cap.
+    Each branch is the formula of the kind's class docstring at 30 digits,
+    where nothing in it cancels to below double precision, even at the
+    concentrated end of each domain.  A belt's edges and a table's samples
+    are the package's floats.  The ring kinds raise UnsupportedKindError.
     """
-    if b <= a:
-        raise QuadratureError(f"empty or reversed interval [{a}, {b}]")
-    counter = itertools.count()  # heap tie-break; values may be arrays
-    value, err = _evaluate(f, a, b)
-    heap = [(-err, next(counter), 0, a, b)]
-    values = {heap[0][1]: value}
-    total_err = err
-
-    for _ in range(MAX_SPLITS):
-        if total_err <= tol:
-            break
-        neg_err, key, depth, lo, hi = heapq.heappop(heap)
-        if -neg_err <= 0.0 or depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature stalled on [{lo:.6g}, {hi:.6g}]: "
-                f"residual {-neg_err:.3e} at depth {depth}, total {total_err:.3e} > {tol:.3e}")
-        del values[key]
-        total_err += neg_err
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sub_val, sub_err = _evaluate(f, sub_lo, sub_hi)
-            sub_key = next(counter)
-            values[sub_key] = sub_val
-            heapq.heappush(heap, (-sub_err, sub_key, depth + 1, sub_lo, sub_hi))
-            total_err += sub_err
-    else:
-        raise QuadratureError(
-            f"quadrature exceeded {MAX_SPLITS} refinements on [{a}, {b}]")
-
-    out = None
-    for val in values.values():
-        out = val if out is None else out + val
-    return out
-
-
-def _stokes_quadratic(x, P: float, mu: float):
-    """1 + mu^2 - P^2 - 2 x mu + x^2 P^2, evaluated without cancellation.
-
-    With c = mu/P (|c| <= 1) it is (P x - c)^2 + (1 - P^2)(1 - c^2): both
-    terms are non-negative and bounded, so the value stays accurate to
-    round-off at the P -> 1 peak, where the naive expansion loses eleven
-    digits, and stays finite when P^2 underflows.  P = 0 forces mu = 0 and
-    the value 1.
-    """
-    c = mu / P if P else 0.0
-    return (P * x - c) ** 2 + (1 - P) * (1 + P) * (1 - c) * (1 + c)
-
-
-def density(dist, x) -> np.ndarray:
-    """Marginal g(x) in x = cos(theta) of a density-backed kind, on arrays.
-
-    Each branch is the formula of the kind's docstring, written so that it
-    stays finite and accurate at the concentrated end of its domain.  The
-    ring kinds carry no density and raise UnsupportedKindError.
-    """
-    x = np.asarray(x, dtype=float)
     kind = dist.kind
-    if kind == "uniform":
-        return np.full_like(x, 0.5)
-    if kind == "vmf":
-        k = dist.kappa
-        if abs(k) < 1e-12:
-            return np.full_like(x, 0.5)
-        if k < 0:
-            k, x = -k, -x
-        # exp(k(x-1)) form stays finite for large concentrations
-        return k * np.exp(k * (x - 1.0)) / (1.0 - math.exp(-2.0 * k))
-    if kind == "brosseau":
-        P, mu = dist.P, dist.mu
-        quad = _stokes_quadratic(x, P, mu)
-        return (1 - P) * (1 + P) * (1 - mu * x) / (2 * quad ** 1.5)
-    if kind == "hg":
-        h = dist.h
-        if h < 0:
-            h, x = -h, -x
-        # 1 + h^2 - 2 h x written without its cancellation at the pole,
-        # where it is as small as (1 - h)^2
-        return 0.5 * (1 - h) * (1 + h) / ((1 - h) ** 2 + 2 * h * (1 - x)) ** 1.5
-    if kind == "belt":
-        hi = math.cos(dist.theta1)
-        lo = math.cos(dist.theta2)
-        return np.where((x >= lo) & (x <= hi), 1.0 / (hi - lo), 0.0)
-    if kind == "table":
-        return np.interp(x, dist.xs, dist.gs, left=0.0, right=0.0)
+    with mpmath.workdps(_DPS):
+        if kind == "uniform" or (kind == "vmf" and dist.kappa == 0):
+            return lambda x: mpmath.mpf(0.5)
+        if kind == "vmf":
+            k = mpmath.mpf(dist.kappa)
+            scale = k / (2 * mpmath.sinh(k))
+            return lambda x: scale * mpmath.exp(k * x)
+        if kind == "brosseau":
+            # (1 - P^2) (1 - mu x) / (2 q^(3/2)), q = 1 + mu^2 - P^2 - 2 mu x + P^2 x^2
+            P, mu = mpmath.mpf(dist.P), mpmath.mpf(dist.mu)
+            top, q0, p2, m2 = (1 - P * P) / 2, 1 + mu * mu - P * P, P * P, 2 * mu
+
+            def g(x):
+                q = q0 - m2 * x + p2 * x * x
+                return top * (1 - mu * x) / (q * mpmath.sqrt(q))
+            return g
+        if kind == "hg":
+            # (1 - h^2) / (2 q^(3/2)), q = 1 + h^2 - 2 h x
+            h = mpmath.mpf(dist.h)
+            top, q0, h2 = (1 - h * h) / 2, 1 + h * h, 2 * h
+
+            def g(x):
+                q = q0 - h2 * x
+                return top / (q * mpmath.sqrt(q))
+            return g
+        if kind == "belt":
+            hi = math.cos(dist.theta1)
+            lo = math.cos(dist.theta2)
+            height = 1 / (mpmath.mpf(hi) - lo)
+            return lambda x: height if lo <= x <= hi else 0
+        if kind == "table":
+            xs, gs = dist.xs, dist.gs
+
+            def g(x):
+                if not xs[0] <= x <= xs[-1]:
+                    return 0
+                i = max(bisect.bisect_left(xs, x), 1)
+                t = (x - xs[i - 1]) / (mpmath.mpf(xs[i]) - xs[i - 1])
+                return gs[i - 1] + t * (mpmath.mpf(gs[i]) - gs[i - 1])
+            return g
     raise UnsupportedKindError(f"{type(dist).__name__} carries no density; use its moments")
 
 
-# Beyond this the scale 1/|kappa| nears the float spacing of cos(theta) at
-# the pole, and integrals of the vMF marginal drift past 1e-10 unnoticed.
-_VMF_MAX_QUADRATURE_KAPPA = 1e9
-# Beyond this the marginal's width (1 - |h|)^2 nears the float spacing of
-# cos(theta) at the pole: integrals of the HG marginal stay within 5e-11 up
-# to it, drift past 1e-10 unnoticed from about |h| = 0.99974, and stall
-# from about 0.9998.
-_HG_MAX_QUADRATURE_H = 0.9995
-
-
-def cuts(dist) -> tuple[float, ...]:
-    """Interior points where quadrature of the marginal must split [-1, 1].
-
-    The non-smooth points of a belt or a table, and for vMF the scale
-    points 1 - 8^j/|kappa| within which its mass sits.  vMF and HG too
-    peaked to resolve in cos(theta) raise QuadratureError.
-    """
-    kind = dist.kind
-    if kind == "vmf":
-        k = abs(dist.kappa)
-        if k > _VMF_MAX_QUADRATURE_KAPPA:
-            raise QuadratureError(
-                f"vMF with |kappa| = {k:g} is too peaked to integrate in cos(theta)")
-        points = []
-        step = 1.0
-        while step < k:
-            points.append(math.copysign(1.0 - step / k, dist.kappa))
-            step *= 8.0
-        return tuple(points)
-    if kind == "hg" and abs(dist.h) > _HG_MAX_QUADRATURE_H:
-        raise QuadratureError(
-            f"HG with |h| = {abs(dist.h):g} is too peaked to integrate in cos(theta)")
-    if kind == "belt":
-        return (math.cos(dist.theta2), math.cos(dist.theta1))
-    if kind == "table":
-        return dist.xs
-    return ()
-
-
-def point_masses(dist) -> list[tuple[float, float]] | None:
-    """(x, weight) of a ring kind's latitudes; None for a density-backed kind."""
-    if dist.kind == "delta":
-        return [(math.cos(dist.theta), 1.0)]
-    if dist.kind == "deltapair":
-        c = math.cos(dist.theta)
-        return [(c, 0.5), (-c, 0.5)]
-    return None
-
-
 def marginal_density(dist, x):
-    """:func:`density` with |x| <= 1 checked; a scalar for a scalar x."""
+    """:func:`density` at float x, |x| <= 1 checked; a scalar for a scalar x."""
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1.0):
         raise DomainError("cos(theta) argument outside [-1, 1]")
-    out = density(dist, xa)
+    g = density(dist)
+    with mpmath.workdps(_DPS):
+        out = np.vectorize(lambda t: float(g(t)), otypes=[float])(xa)
     return out if xa.ndim else float(out)
 
 
-def integration_segments(dist) -> list[tuple[float, float]]:
-    """[-1, 1] split at the marginal's cuts."""
-    inner = sorted(x for x in cuts(dist) if -1.0 < x < 1.0)
-    edges = [-1.0] + inner + [1.0]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
-            if edges[i + 1] > edges[i]]
+def integration_edges(dist) -> list[float]:
+    """-1, the points inside (-1, 1) where integrals of the marginal split, 1.
 
-
-def integrate_marginal(dist, f, tol: float = 1e-10):
-    """Integrate a (possibly array-valued) function over the marginal support."""
-    parts = [integrate(f, a, b, tol=tol) for a, b in integration_segments(dist)]
-    return sum(parts[1:], start=parts[0])
-
-
-def quadrature_moments(dist, tol: float = 1e-10) -> MomentPair:
-    """(a1, a2) by direct integration of the marginal, or over the rings.
-
-    Peaked densities are resolved through their :func:`cuts`, which covers
-    vMF up to |kappa| = 1e9 and Henyey-Greenstein up to |h| = 0.9995;
-    beyond those limits they raise QuadratureError.
+    The non-smooth points of a belt or a table, and the peak of a Brosseau
+    marginal at x = mu/P, of width about 1 - P, which double-exponential
+    quadrature resolves only at an end of an interval.  vMF and HG peak at
+    a pole, an end already.
     """
-    masses = point_masses(dist)
-    if masses is not None:
-        return MomentPair(sum(w * x for x, w in masses),
-                          sum(w * (3 * x * x - 1) / 2 for x, w in masses))
-
-    def f(x):
-        g = density(dist, x)
-        return np.stack([g * x, g * (3 * x * x - 1) / 2], axis=-1)
-
-    a1, a2 = integrate_marginal(dist, f, tol=tol)
-    return MomentPair(float(a1), float(a2))
+    cuts = ()
+    if dist.kind == "brosseau" and dist.P:
+        cuts = (dist.mu / dist.P,)
+    elif dist.kind == "belt":
+        cuts = (math.cos(dist.theta2), math.cos(dist.theta1))
+    elif dist.kind == "table":
+        cuts = dist.xs
+    return [-1.0, *sorted({x for x in cuts if -1.0 < x < 1.0}), 1.0]
 
 
-def normalization_integral(dist, tol: float = 1e-10) -> float:
-    """Total mass of the marginal (or of the rings); should be 1.
+def marginal_integral(dist, f):
+    """The integral of f(x) g(x) over [-1, 1], g the marginal of ``dist``.
 
-    Same reach as :func:`quadrature_moments`.
+    One ``mpmath.quad`` (tanh-sinh; Takahasi & Mori, Publ. RIMS 9, 721
+    (1974)) at 30 digits, split at the :func:`integration_edges`; ``f``
+    receives an mpmath number, and the value is mpmath's, real or complex.
+    Raises ArithmeticError where mpmath's error estimate exceeds 1e-15.
+    That estimate is no proof (for HG at h = 0.9999 it reads 1e-54 while
+    the normalisation and both moments are 2.5e-24 off): a check at 1e-14
+    rests on the 30-digit margin, which the exact HG moments (h, h^2)
+    measure.
     """
-    masses = point_masses(dist)
-    if masses is not None:
-        return float(sum(w for _, w in masses))
-    return float(integrate_marginal(dist, lambda x: density(dist, x), tol=tol))
+    g = density(dist)
+    edges = integration_edges(dist)
+    with mpmath.workdps(_DPS):
+        value, err = mpmath.quad(lambda x: f(x) * g(x), edges, error=True)
+    if err > _QUAD_TOL:
+        raise ArithmeticError(
+            f"mpmath.quad error estimate {float(err):.3e} over {edges} for {dist!r}")
+    return value
+
+
+def quadrature_moments(dist) -> MomentPair:
+    """(a1, a2) by direct integration of the marginal."""
+    # a1 + i a2 as one integral, so that each node evaluates g once
+    z = marginal_integral(dist, lambda x: mpmath.mpc(x, (3 * x * x - 1) / 2))
+    return MomentPair(float(z.real), float(z.imag))
+
+
+# the weights of a ring kind's latitudes
+_RING_WEIGHTS = {"delta": (1.0,), "deltapair": (0.5, 0.5)}
+
+
+def normalization_integral(dist) -> float:
+    """Total mass of the marginal, or of a ring kind's latitudes; should be 1."""
+    if dist.kind in _RING_WEIGHTS:
+        return math.fsum(_RING_WEIGHTS[dist.kind])
+    return float(marginal_integral(dist, lambda x: 1))
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:

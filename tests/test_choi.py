@@ -16,16 +16,18 @@ from axiclone.qsim import clone_isometry
 from axiclone import choi
 from conftest import (angle_params, assert_primal_optimum,
                       random_distribution, random_params, traced_peak_mib)
-from oracles import (block_basis, choi_from_isometry, density, haar_isometry,
-                     integrate_marginal, kron_merit, lapack_fidelities,
-                     lapack_haar_isometry, merit_kernel_reference,
+from oracles import (block_basis, choi_from_isometry, fixed_rule,
+                     haar_isometry, integration_edges, kron_merit,
+                     lapack_fidelities, lapack_haar_isometry,
+                     marginal_density, merit_kernel_reference,
                      partial_trace, random_cptp, row_fidelity,
                      sampled_fidelity_loop, symmetry_blocks)
 
 SQRT2 = math.sqrt(2.0)
 
-# Ensembles peaked so close to a pole that integrating a density over
-# [-1, 1] misses or cannot resolve the mass; their moments are exact.
+# Ensembles whose mass sits within 1e-4 of a point, where a float
+# integration of the density over [-1, 1] misses or cannot resolve it;
+# R is built from their exact moments.
 PEAKED = [VonMisesFisher(kappa=1e5), VonMisesFisher(kappa=-1e6),
           HenyeyGreenstein(h=0.9999), HenyeyGreenstein(h=-0.999999),
           Brosseau(P=0.999999, mu=0.999999), Brosseau(P=0.999999, mu=-0.5)]
@@ -113,12 +115,21 @@ class TestMeritOperator:
             assert np.abs(got - want).max() <= 1e-15
 
     def test_densities_equal_integrated_reference_kernel(self, rng):
+        # the kernel is 8x8, so it stays on a float Gauss-Legendre rule over
+        # the marginal's segments; a 64- and a 128-node pass must agree
+        # before either counts
         for _ in range(8):
             dist = random_distribution(rng, density_only=True)
-            want = integrate_marginal(
-                dist, lambda x: density(dist, x)[:, None, None]
-                * merit_kernel_reference(x), tol=1e-11)
-            assert np.abs(build_merit(dist) - want).max() <= 1e-10
+            edges = integration_edges(dist)
+
+            def integral(n):
+                return sum(fixed_rule(
+                    lambda x: marginal_density(dist, x)[:, None, None]
+                    * merit_kernel_reference(x), a, b, n)
+                    for a, b in zip(edges, edges[1:]))
+            coarse, fine = integral(64), integral(128)
+            assert np.abs(fine - coarse).max() <= 1e-13, dist
+            assert np.abs(build_merit(dist) - fine).max() <= 1e-12
 
     def test_pairing_equals_moment_formula(self, rng):
         dist = VonMisesFisher(kappa=0.7)

@@ -15,8 +15,8 @@ from axiclone.optimal import (Regime, UC_ALPHA, average_fidelity,
 from axiclone import choi, cli, dist, optimal
 from conftest import (angle_params, random_distribution,
                       random_feasible_moments, traced_peak_mib)
-from oracles import (branch_search_angles, density, extremal_iteration,
-                     fidelity_reference, integrate_marginal, mp_optimum,
+from oracles import (branch_search_angles, extremal_iteration,
+                     fidelity_reference, marginal_integral, mp_optimum,
                      vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
@@ -197,6 +197,14 @@ class TestOptimalAngles:
                 continue
             seen += 1
             assert abs(p.gamma) >= 1
+        # inside FEASIBILITY_TOL next to a pole, where x+ x- <= 0 while
+        # |Gamma| < 1: each pair is that pole
+        for m in ((0.9999999999999986, 0.9999999989503444),
+                  (-0.9999999999999802, 0.9999999988444326),
+                  (1.0000000001579625, 0.9999999989783702),
+                  (-0.9999999999561087, 0.999999998631279)):
+            p = optimal_angles(m)
+            assert p.regime is not Regime.INTERIOR and abs(p.gamma) >= 1, m
 
 
 class TestSingleCopyFidelity:
@@ -261,14 +269,9 @@ class TestAverageFidelity:
             m = moments(dist)
             ap, am = rng.uniform(0, math.pi / 2, 2)
             p = angle_params(float(ap), float(am))
-
-            def integrand(x):
-                thetas = np.arccos(np.clip(x, -1, 1))
-                vals = np.array([single_copy_fidelity(float(t), p) for t in thetas])
-                return density(dist, x) * vals
-
-            direct = float(integrate_marginal(dist, integrand, tol=1e-11))
-            assert average_fidelity(m, p) == pytest.approx(direct, abs=1e-9)
+            direct = float(marginal_integral(
+                dist, lambda x: single_copy_fidelity(math.acos(x), p)))
+            assert abs(average_fidelity(m, p) - direct) <= 1e-14
 
     def test_optimum_dominates_reference_cloners(self, rng):
         for _ in range(60):
