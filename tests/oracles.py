@@ -4,13 +4,18 @@ The package computes every Legendre moment in closed form.  The densities
 below, one per kind written out at 30 digits from the formula in its
 docstring, and mpmath's double-exponential quadrature that integrates them
 are the independent path those moments, the normalisation and the average
-fidelity are checked against, to 1e-14.  The 8x8 merit operator is
-integrated against them by a float Gauss-Legendre rule instead, whose 64-
-and 128-node passes must agree.  Fiurasek's extremal iteration maximises
-Tr(chi R) over every CPTP map through CPTP iterates only, reading nothing of
-the closed form, so its fixed point checks the analytic cloner from the
-primal side, as the dual certificate checks it from the other.  The Haar
-loop is the one-sample-at-a-time sweep the batched
+fidelity are checked against, to 1e-14.  The mass of Delta, DeltaPair and
+of a belt too thin for float edges sits on rings, where the integral is a
+weighted sum.  The fidelity integrated is the paper's single-copy fidelity,
+a polynomial in cos(theta) written out at 30 digits, which the package's
+float single-copy fidelity must also equal pointwise.  The 8x8 merit
+operator is integrated against the densities by a float Gauss-Legendre
+rule instead, whose 64- and 128-node passes must agree.  Fiurasek's
+extremal iteration maximises Tr(chi R) over every CPTP map through CPTP
+iterates only, reading nothing of the closed form, so its fixed point
+checks the analytic cloner from the primal side, as the dual certificate
+checks it from the other.  The Haar loop is the one-sample-at-a-time,
+one-thread sweep the batched, two-thread
 :func:`axiclone.choi.max_sampled_fidelity` must reproduce exactly: row k of
 one ``default_rng(seed)`` stream, one Gram-Schmidt step, diag(R) > 0, per
 environment, written out on 1-D arrays; its sample 0 is
@@ -80,15 +85,35 @@ def fixed_rule(f, a: float, b: float, n: int):
     return half * np.tensordot(weights, vals, axes=(0, 0))
 
 
+def rings(dist) -> tuple[tuple[float, float], ...]:
+    """(weight, cos theta) of each latitude ring that carries ``dist``'s mass.
+
+    Delta and DeltaPair are rings, and so is a belt whose edges have one
+    float cosine, such as theta1 = 1e-9, theta2 = 2e-9: it leaves no float
+    interval to integrate over.  Empty for every other kind.
+    """
+    if dist.kind == "delta":
+        return ((1.0, math.cos(dist.theta)),)
+    if dist.kind == "deltapair":
+        c = math.cos(dist.theta)
+        return ((0.5, c), (0.5, -c))
+    if dist.kind == "belt" and math.cos(dist.theta1) == math.cos(dist.theta2):
+        return ((1.0, math.cos(dist.theta1)),)
+    return ()
+
+
 def density(dist):
     """Marginal g(x) of a density-backed kind, as a function of an mpmath x.
 
     Each branch is the formula of the kind's class docstring at 30 digits,
     where nothing in it cancels to below double precision, even at the
     concentrated end of each domain.  A belt's edges and a table's samples
-    are the package's floats.  The ring kinds raise UnsupportedKindError.
+    are the package's floats.  What :func:`rings` carries raises
+    UnsupportedKindError.
     """
     kind = dist.kind
+    if rings(dist):
+        raise UnsupportedKindError(f"{dist!r} sits on rings and carries no density")
     with mpmath.workdps(_DPS):
         if kind == "uniform" or (kind == "vmf" and dist.kappa == 0):
             return lambda x: mpmath.mpf(0.5)
@@ -129,7 +154,7 @@ def density(dist):
                 t = (x - xs[i - 1]) / (mpmath.mpf(xs[i]) - xs[i - 1])
                 return gs[i - 1] + t * (mpmath.mpf(gs[i]) - gs[i - 1])
             return g
-    raise UnsupportedKindError(f"{type(dist).__name__} carries no density; use its moments")
+    raise UnsupportedKindError(f"{type(dist).__name__} has no density reference")
 
 
 def marginal_density(dist, x):
@@ -171,8 +196,12 @@ def marginal_integral(dist, f):
     That estimate is no proof (for HG at h = 0.9999 it reads 1e-54 while
     the normalisation and both moments are 2.5e-24 off): a check at 1e-14
     rests on the 30-digit margin, which the exact HG moments (h, h^2)
-    measure.
+    measure.  Over :func:`rings` the integral is the weighted sum of f.
     """
+    ring = rings(dist)
+    if ring:
+        with mpmath.workdps(_DPS):
+            return mpmath.fsum(w * f(mpmath.mpf(c)) for w, c in ring)
     g = density(dist)
     edges = integration_edges(dist)
     with mpmath.workdps(_DPS):
@@ -190,14 +219,8 @@ def quadrature_moments(dist) -> MomentPair:
     return MomentPair(float(z.real), float(z.imag))
 
 
-# the weights of a ring kind's latitudes
-_RING_WEIGHTS = {"delta": (1.0,), "deltapair": (0.5, 0.5)}
-
-
 def normalization_integral(dist) -> float:
-    """Total mass of the marginal, or of a ring kind's latitudes; should be 1."""
-    if dist.kind in _RING_WEIGHTS:
-        return math.fsum(_RING_WEIGHTS[dist.kind])
+    """Total mass of the marginal, or of the rings; should be 1."""
     return float(marginal_integral(dist, lambda x: 1))
 
 
@@ -653,6 +676,28 @@ def clone_fidelity_reference(q, p: ClonerParams, i: int) -> float:
     bra = [a[0].conjugate() * rho[0][k] + a[1].conjugate() * rho[1][k]
            for k in (0, 1)]
     return (bra[0] * a[0] + bra[1] * a[1]).real
+
+
+def ring_fidelity(alpha_plus: float, alpha_minus: float):
+    """Clone fidelity of the cloner (a+, a-) for a pure input at
+    cos(theta) = x, as a function of x, at 30 digits.
+
+    A ring at x has the moments (x, P2(x)), so m2 = x^2, and the paper's
+    single-copy fidelity is the polynomial
+    F(x) = ((1 + cos^2 a+) (1 + x)^2 + (1 + cos^2 a-) (1 - x)^2
+            + (sin^2 a+ + sin^2 a- + 2 sqrt(2) sin(a+ + a-)) (1 - x^2)) / 8.
+    """
+    with mpmath.workdps(_DPS):
+        ap, am = mpmath.mpf(alpha_plus), mpmath.mpf(alpha_minus)
+        cp, cm = 1 + mpmath.cos(ap) ** 2, 1 + mpmath.cos(am) ** 2
+        cs = (mpmath.sin(ap) ** 2 + mpmath.sin(am) ** 2
+              + 2 * mpmath.sqrt(2) * mpmath.sin(ap + am))
+
+    def f(x):
+        with mpmath.workdps(_DPS):
+            x = mpmath.mpf(x)
+            return (cp * (1 + x) ** 2 + cm * (1 - x) ** 2 + cs * (1 - x * x)) / 8
+    return f
 
 
 def fidelity_reference(m, alpha_plus, alpha_minus, cos=math.cos, sin=math.sin):

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +39,22 @@ def phase_conjugated(r, seed=11):
     """U R U^dag for a diagonal phase U: Hermitian, with Im R != 0."""
     phases = np.exp(2j * math.pi * np.random.default_rng(seed).uniform(size=8))
     return phases[:, None] * r * phases.conj()[None, :]
+
+
+def patch_rng(monkeypatch, before_draw):
+    """Make np.random.default_rng return generators that call before_draw()
+    ahead of each standard_normal draw."""
+    default_rng = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            before_draw()
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
 
 
 def assert_cptp(chi):
@@ -260,8 +278,61 @@ class TestMaxSampledFidelity:
                 assert max_sampled_fidelity(r, 200, seed=3,
                                             env_dims=(3, 1)) == expected
 
+    def test_helper_thread_is_joined(self):
+        r = build_merit(Brosseau(P=0.8, mu=0.5))
+        before = threading.active_count()
+        for n_samples in (1000, 1):
+            max_sampled_fidelity(r, n_samples, seed=4)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("thread", ["helper", "caller"])
+    def test_error_on_either_thread_reaches_caller_unchanged(
+            self, monkeypatch, thread):
+        # the helper draws each chunk, the caller orthonormalises it
+        calls, error = [], RuntimeError("chunk 3")
+
+        def third_fails():
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+
+        if thread == "helper":
+            patch_rng(monkeypatch, third_fails)
+        else:
+            haar = choi._haar_columns
+
+            def failing(z, env):
+                if env == 1:
+                    third_fails()
+                return haar(z, env)
+
+            monkeypatch.setattr(choi, "_haar_columns", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            max_sampled_fidelity(build_merit(Uniform()), 2000, env_dims=(1, 2, 4))
+        assert info.value is error
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("slowed", ["helper", "caller"])
+    def test_result_independent_of_thread_timing(self, monkeypatch, slowed):
+        r = phase_conjugated(build_merit(Brosseau(P=0.8, mu=0.5)))
+        expected = sampled_fidelity_loop(r, 200, seed=9, env_dims=(1, 2, 4))
+        monkeypatch.setattr(choi, "_HAAR_CHUNK", 16)
+        if slowed == "helper":
+            patch_rng(monkeypatch, lambda: time.sleep(1e-3))
+        else:
+            haar = choi._haar_columns
+
+            def slow(z, env):
+                time.sleep(1e-3)
+                return haar(z, env)
+
+            monkeypatch.setattr(choi, "_haar_columns", slow)
+        assert max_sampled_fidelity(r, 200, seed=9) == expected
+
     def test_sweeps_in_small_chunks(self):
-        # 1024-row chunks peak at 4.8 MiB on the first sweep of a process
+        # 1024-row chunks peak at 5.8 MiB on the first sweep of a process
         r = build_merit(VonMisesFisher(kappa=1.0))
         assert traced_peak_mib(max_sampled_fidelity, r, 10_000) <= 2.5
 

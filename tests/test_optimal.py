@@ -17,7 +17,7 @@ from conftest import (angle_params, random_distribution,
                       random_feasible_moments, traced_peak_mib)
 from oracles import (branch_search_angles, extremal_iteration,
                      fidelity_reference, marginal_integral, mp_optimum,
-                     vmf_kappa_threshold)
+                     ring_fidelity, vmf_kappa_threshold)
 
 SQRT2 = math.sqrt(2.0)
 PCC_EQUATOR_F = (4 + 2 * SQRT2) / 8
@@ -267,11 +267,17 @@ class TestAverageFidelity:
         for _ in range(50):
             dist = random_distribution(rng, density_only=True)
             m = moments(dist)
-            ap, am = rng.uniform(0, math.pi / 2, 2)
-            p = angle_params(float(ap), float(am))
-            direct = float(marginal_integral(
-                dist, lambda x: single_copy_fidelity(math.acos(x), p)))
-            assert abs(average_fidelity(m, p) - direct) <= 1e-14
+            ap, am = (float(a) for a in rng.uniform(0, math.pi / 2, 2))
+            direct = float(marginal_integral(dist, ring_fidelity(ap, am)))
+            assert abs(average_fidelity(m, angle_params(ap, am)) - direct) <= 1e-14
+
+    def test_single_copy_fidelity_equals_ring_reference(self, rng):
+        for _ in range(200):
+            theta = float(rng.uniform(0, math.pi))
+            ap, am = (float(a) for a in rng.uniform(0, math.pi / 2, 2))
+            want = float(ring_fidelity(ap, am)(math.cos(theta)))
+            got = single_copy_fidelity(theta, angle_params(ap, am))
+            assert abs(got - want) <= 1e-15
 
     def test_optimum_dominates_reference_cloners(self, rng):
         for _ in range(60):
