@@ -139,13 +139,66 @@ def _haar_columns(z: np.ndarray, env: int) -> np.ndarray:
     return q
 
 
+def _gram_columns(z: np.ndarray, env: int) -> np.ndarray:
+    """The isometries of :func:`_haar_columns`, from each row's Gram matrix.
+
+    The same Gram-Schmidt step written through the 4x4 real Gram matrix G of
+    (Re a0, Re a1, Im a0, Im a1), a CholeskyQR step: with a0^dag a1 =
+    |a0|^2 (cr + i ci) read off G, Q = T A for the 4x4 real T of
+    q0 = a0 / |a0|, q1 = (a1 - (cr + i ci) a0) / n1, so a chunk costs two
+    batched products in place of the strided passes of _haar_columns.
+    n1^2 = |a1|^2 - |a0^dag a1|^2 / |a0|^2 comes from a difference, so its
+    rounding grows as u / sin^2 of the angle between a1 and a0 (Yamamoto
+    et al., ETNA 44, 306 (2015)); a row with n1^2 < _GRAM_GUARD |a1|^2
+    comes out NaN.  Returns shape (n, 4, 8 env), indexed (sample,
+    re/im and column, row), the layout of _haar_columns.
+    """
+    n, size = len(z), 8 * env
+    a = z[:, :4 * size].reshape(n, 2, size, 2).transpose(0, 1, 3, 2).reshape(n, 4, size)
+    g = a @ a.transpose(0, 2, 1)
+    n00, n11 = g[:, 0, 0] + g[:, 2, 2], g[:, 1, 1] + g[:, 3, 3]
+    cr = (g[:, 0, 1] + g[:, 2, 3]) / n00
+    ci = (g[:, 0, 3] - g[:, 2, 1]) / n00
+    u2 = n11 - (cr * cr + ci * ci) * n00
+    d1 = 1 / np.sqrt(np.where(u2 < _GRAM_GUARD * n11, np.nan, u2))
+    t = np.zeros((n, 4, 4))
+    t[:, 0, 0] = t[:, 2, 2] = 1 / np.sqrt(n00)
+    t[:, 1, 1] = t[:, 3, 3] = d1
+    t[:, 1, 0] = t[:, 3, 2] = -cr * d1
+    t[:, 1, 2] = ci * d1
+    t[:, 3, 0] = -ci * d1
+    return t @ a
+
+
+def _fidelities(r16: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Tr(chi R) of each isometry of ``q``, laid out as _haar_columns returns
+    them, against the real 16x16 form ``r16`` of R."""
+    # Kraus vectors v[e, 4 i + out] = W[(out, e), i]; split as (re/im, i,
+    # out, e), the columns already have the (16, 2 env) layout of [Re v; Im v]
+    s = q.reshape(len(q), 16, -1)
+    return ((r16 @ s) * s).sum(axis=(1, 2))
+
+
+# Smallest n1^2 / |a1|^2, the sin^2 of the angle between a1 and the line of
+# a0, at which _gram_columns keeps a row.  At the guard the rounding of n1^2
+# is at most about 64 u / 1e-4 = 1.4e-10 relative, so a kept row's Gram
+# fidelity is within about 1.4e-10 |R| of its Gram-Schmidt one.  A complex
+# Gaussian column in C^(8 env) falls below it with probability
+# 1e-4^(8 env - 1), at most 1e-28, so only a contrived row screens as NaN.
+_GRAM_GUARD = 1e-4
+# Largest gap max_sampled_fidelity allows between the Gram and the
+# Gram-Schmidt fidelity of a kept row, in units of the row-sum norm of R
+# (which bounds |R|): 7 times the bound at the guard, and 10^6 times the
+# largest gap measured, 5.6e-16 over 10^5 rows per environment size.
+_SCREEN_TOL = 1e-9
 # Samples per chunk in max_sampled_fidelity; the result does not depend on
 # it, the speed and the memory do.  With the draws one chunk ahead on the
-# helper thread, the first 10,000-sample sweep of a process peaks under
-# tracemalloc at 1.4 MiB with 128 rows, 1.7 with 192, 2.1 with 256 and 2.7
-# with 384, 0.7 MiB of it the import of numpy.random (one thread with 256
-# rows: 1.8).  On 2 cores (Xeon, one BLAS thread) these sweeps ran 18%,
-# 31%, 34% and 39% faster than one thread with 256 rows.
+# helper thread and the caller screening every row, the first
+# 10,000-sample sweep of a process peaks under tracemalloc at 1.4 MiB with
+# 128 rows, 1.8 with 256, 2.4 with 384 and 2.9 with 512, 0.7 MiB of it the
+# import of numpy.random (2.1 with 256 rows before the screen).  On 2 cores
+# (Xeon, one BLAS thread) 128 rows ran 17% slower than 256, and 384 or 512
+# no faster.
 _HAAR_CHUNK = 256
 # Environment sizes of verify's Haar sweep.
 _ENV_DIMS = (1, 2, 4)
@@ -220,13 +273,19 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
     real part is the row's first 16 env entries and whose imaginary part is
     the next 16 env (:func:`_haar_columns`).  R must be a Hermitian 8x8
     operator; it enters through its real 16x16 form, so Im R counts.
-    Samples are processed in chunks of ``_HAAR_CHUNK`` rows with one
-    contraction per environment size.  One helper thread, joined before the
-    call returns, draws each chunk into one of two reused buffers while the
-    caller orthonormalises and contracts the chunk before; only the helper
-    touches the generator, it draws the chunks in order, and the caller's
-    arithmetic is that of one thread.  The maximum is a pure reduction, so
-    the result depends neither on ``_HAAR_CHUNK`` nor on how the two
+    Samples are processed in chunks of ``_HAAR_CHUNK`` rows.  One helper
+    thread, joined before the call returns, draws each chunk into one of two
+    reused buffers while the caller works on the chunk before; only the
+    helper touches the generator, and it draws the chunks in order.  For
+    each environment size the caller screens every row of a chunk by its
+    Gram fidelity (:func:`_gram_columns`), which is NaN or within
+    tol = ``_SCREEN_TOL`` |R| of the Gram-Schmidt one.  The Gram-Schmidt
+    step and its contraction then run only on the rows that could hold the
+    maximum: those whose Gram fidelity is not finite or reaches
+    max(best, top - tol) - tol, with best the running maximum and top the
+    chunk's largest finite Gram fidelity.  Only these Gram-Schmidt values
+    enter the maximum, so the result is the largest Gram-Schmidt fidelity
+    of all rows, bit for bit, whatever ``_HAAR_CHUNK`` and however the two
     threads interleave.
     """
     r = _hermitian_8x8(r, "merit operator")
@@ -246,17 +305,21 @@ def max_sampled_fidelity(r: np.ndarray, n_samples: int, seed: int = 0,
     def draw(start):
         return rng.standard_normal(out=zs[start // rows % 2, :min(rows, n_samples - start)])
 
+    # a finite f_fast is within tol of its row's exact value, so a row below
+    # bar can reach neither best nor the exact value of the row at top
+    tol = _SCREEN_TOL * float(np.linalg.norm(r, np.inf))
     best = -math.inf
     with _OneAhead(draw, range(0, n_samples, rows)) as chunks:
         for z in chunks:
-            n = len(z)
             for env in env_dims:
-                # Kraus vectors v[e, 4 i + out] = W[(out, e), i]; split as
-                # (re/im, i, out, e), the columns already have the (16, 2 env)
-                # layout of [Re v; Im v]
-                s = _haar_columns(z, env).reshape(n, 16, 2 * env)
-                f = ((r16 @ s) * s).sum(axis=(1, 2))
-                best = max(best, float(f.max()))
+                f_fast = _fidelities(r16, _gram_columns(z, env))
+                kept = np.isfinite(f_fast)
+                top = f_fast.max(where=kept, initial=-math.inf)
+                bar = max(best, top - tol) - tol
+                exact = np.flatnonzero(~kept | (f_fast >= bar))
+                if exact.size:
+                    f = _fidelities(r16, _haar_columns(z[exact], env))
+                    best = max(best, float(f.max()))
     return best
 
 
@@ -290,7 +353,7 @@ def optimality_report(dist: AxisDistribution, n_samples: int,
     m = moments(dist)
     params = optimal_angles(m)
     f_opt = average_fidelity(m, params)
-    r = build_merit(dist)
+    r = _merit(*m)
     sampled = max_sampled_fidelity(r, n_samples, seed=seed)
     tr_y, lam = dual_certificate(r, params)
     return {

@@ -288,7 +288,7 @@ class TestMaxSampledFidelity:
     @pytest.mark.parametrize("thread", ["helper", "caller"])
     def test_error_on_either_thread_reaches_caller_unchanged(
             self, monkeypatch, thread):
-        # the helper draws each chunk, the caller orthonormalises it
+        # the helper draws each chunk, the caller screens every row of it
         calls, error = [], RuntimeError("chunk 3")
 
         def third_fails():
@@ -299,14 +299,14 @@ class TestMaxSampledFidelity:
         if thread == "helper":
             patch_rng(monkeypatch, third_fails)
         else:
-            haar = choi._haar_columns
+            gram = choi._gram_columns
 
             def failing(z, env):
                 if env == 1:
                     third_fails()
-                return haar(z, env)
+                return gram(z, env)
 
-            monkeypatch.setattr(choi, "_haar_columns", failing)
+            monkeypatch.setattr(choi, "_gram_columns", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             max_sampled_fidelity(build_merit(Uniform()), 2000, env_dims=(1, 2, 4))
@@ -322,14 +322,70 @@ class TestMaxSampledFidelity:
         if slowed == "helper":
             patch_rng(monkeypatch, lambda: time.sleep(1e-3))
         else:
-            haar = choi._haar_columns
+            gram = choi._gram_columns
 
             def slow(z, env):
                 time.sleep(1e-3)
-                return haar(z, env)
+                return gram(z, env)
 
-            monkeypatch.setattr(choi, "_haar_columns", slow)
+            monkeypatch.setattr(choi, "_gram_columns", slow)
         assert max_sampled_fidelity(r, 200, seed=9) == expected
+
+    def test_gram_screen_is_within_a_thousandth_of_its_tolerance(self):
+        # rows the screen keeps must be within _SCREEN_TOL |R| of the
+        # Gram-Schmidt fidelity; 10^5 rows per environment size, none of
+        # them near the guard, stay 1000 times inside it
+        r0 = build_merit(Brosseau(P=0.8, mu=0.5))
+        merits = [(r, np.linalg.norm(r, np.inf))
+                  for r in (r0, phase_conjugated(r0))]
+        rng = np.random.default_rng(34)
+        for env in (1, 2, 3, 4):
+            for _ in range(10):
+                z = rng.standard_normal((10_000, 32 * env))
+                fast, exact = choi._gram_columns(z, env), choi._haar_columns(z, env)
+                assert np.all(np.isfinite(fast))
+                for r, norm in merits:
+                    r16 = np.block([[r.real, -r.imag], [r.imag, r.real]])
+                    gap = np.abs(choi._fidelities(r16, fast)
+                                 - choi._fidelities(r16, exact)).max()
+                    assert gap <= choi._SCREEN_TOL * norm / 1000
+
+    def test_near_parallel_columns_take_the_exact_path(self, monkeypatch):
+        # row 20 has column 1 = 2 column 0 + 1e-5 noise at every environment
+        # size (n1^2 / |a1|^2 below 1e-10), where its Gram fidelity, were it
+        # not NaN, would be off by 1e-7 to 1.5e-6; the row must reach the
+        # Gram-Schmidt path, and the sweep must still equal the plain loop
+        table = np.random.default_rng(21).standard_normal((40, 128))
+        row = table[20]
+        row[1::2] = 2 * row[0::2] + 1e-5 * row[1::2]
+
+        class Table:
+            def __init__(self, seed):
+                self._next = 0
+
+            def standard_normal(self, size=None, out=None):
+                rows = 1 if out is None else len(out)
+                block = table[self._next:self._next + rows]
+                self._next += rows
+                if out is None:
+                    return block[0].copy()
+                out[...] = block
+                return out
+
+        r = phase_conjugated(build_merit(VonMisesFisher(kappa=1.0)))
+        monkeypatch.setattr(np.random, "default_rng", Table)
+        monkeypatch.setattr(choi, "_HAAR_CHUNK", 16)
+        seen, haar = set(), choi._haar_columns
+
+        def spy(z, env):
+            if any(np.array_equal(drawn, row) for drawn in z):
+                seen.add(env)
+            return haar(z, env)
+
+        monkeypatch.setattr(choi, "_haar_columns", spy)
+        expected = sampled_fidelity_loop(r, 40, env_dims=(1, 2, 4))
+        assert max_sampled_fidelity(r, 40, env_dims=(1, 2, 4)) == expected
+        assert seen == {1, 2, 4}
 
     def test_sweeps_in_small_chunks(self):
         # 1024-row chunks peak at 5.8 MiB on the first sweep of a process

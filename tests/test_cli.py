@@ -790,13 +790,18 @@ class TestVerifyCommand:
         assert rep["max_sampled_F"] <= rep["F_opt"]
         assert rep["F_upper"] - rep["F_opt"] > 1e-9
 
-    def test_builds_merit_once_through_build_merit(self, capsys, monkeypatch):
-        # the certificate's R comes from build_merit, so a tracer that wraps
-        # it sees the merit construction of every verify call
+    def test_computes_moments_once(self, capsys, monkeypatch):
+        # the optimum, its dual point and the merit operator all come from
+        # one moments call, which a tracer that wraps it sees once per verify
         calls = []
-        build = choi_mod.build_merit
-        monkeypatch.setattr(choi_mod, "build_merit",
-                            lambda d: calls.append(d) or build(d))
+        moments = dist_mod.moments
+
+        def counted(d):
+            calls.append(d)
+            return moments(d)
+
+        for module in (dist_mod, choi_mod):
+            monkeypatch.setattr(module, "moments", counted)
         code, _, _ = run_cli(capsys, "verify", "--dist", "vmf:kappa=1.5",
                              "--samples", "5")
         assert code == 0
